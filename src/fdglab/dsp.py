@@ -1,11 +1,11 @@
-"""Domain-specific soft prompts: assembly, similarity classification, and
-stage-1 training.
+"""Domain-specific soft prompts: assembly, prompt embeddings, and stage-1
+training.
 
 A prompt for class i in domain d is the row stack [v; u^d; cls_i]: shared
-context v, per-domain context u^d, frozen class token. Classification
-scores a unit-norm image embedding against each class prompt's text
-embedding by cosine similarity over temperature tau; training minimizes
-cross entropy of those scores, updating only v and the touched u rows.
+context v, per-domain context u^d, frozen class token. Training scores a
+unit-norm image embedding against each class prompt's text embedding by
+cosine similarity over temperature tau and minimizes cross entropy of
+those scores, updating only v and the touched u rows.
 
 Prompt variants:
   dsp  full prompt [v; u^d; cls], two-stage pipeline
@@ -65,27 +65,19 @@ class DspParams:
             out[f"u/{d}"] = self.u[d]
         return out
 
-    def apply_named(self, arrays: dict[str, np.ndarray]) -> None:
-        """Overwrite parameters from aggregation output; unknown or
-        missing names for this client are ignored (a client only tracks
-        its own domains)."""
-        for name, tensor in self.named().items():
-            if name in arrays:
-                new = np.asarray(arrays[name], dtype=np.float32)
-                if new.shape != tensor.data.shape:
-                    raise ValueError(f"{name}: shape {new.shape} != {tensor.data.shape}")
-                tensor.data = new.copy()
-
-    def context_rows(self, domain: int) -> np.ndarray:
-        """The (m1+m2, d_tok) context block [v; u^domain]; GAN real sample."""
-        parts = []
-        if self.v is not None:
-            parts.append(self.v.data)
+    def context_parts(self, domain: int) -> list[nc.Tensor]:
+        """The context blocks [v, u^domain], skipping absent parts."""
+        parts = [self.v] if self.v is not None else []
         if self.m2 > 0:
             if domain not in self.u:
                 raise KeyError(f"no domain-specific context for domain {domain}")
-            parts.append(self.u[domain].data)
-        return np.concatenate(parts, axis=0)
+            parts.append(self.u[domain])
+        return parts
+
+    def context_rows(self, domain: int) -> np.ndarray:
+        """The (m1+m2, d_tok) context block [v; u^domain]; GAN real sample."""
+        return np.concatenate([t.data for t in self.context_parts(domain)],
+                              axis=0)
 
 
 def make_prompt_params(mode: str, domains, m1: int = 4, m2: int = 4,
@@ -118,25 +110,7 @@ def make_prompt_params(mode: str, domains, m1: int = 4, m2: int = 4,
 def assemble_prompt(g: nc.Graph, p: DspParams, domain: int,
                     cls: nc.Tensor) -> nc.Tensor:
     """Row stack [v; u^domain; cls] (skipping absent parts)."""
-    parts = []
-    if p.v is not None:
-        parts.append(p.v)
-    if p.m2 > 0:
-        if domain not in p.u:
-            raise KeyError(f"no domain-specific context for domain {domain}")
-        parts.append(p.u[domain])
-    parts.append(cls)
-    return nc.concat(g, parts, axis=0)
-
-
-def hand_crafted_prompt(table: TokenTable, classes) -> list[nc.Tensor]:
-    """Fixed template 'a photo of a <class>', one prompt per class."""
-    word_rows = [table.row(w) for w in _HDP_WORDS]
-    out = []
-    for name in classes:
-        rows = np.concatenate(word_rows + [table.row(name)], axis=0)
-        out.append(nc.Tensor(rows, requires_grad=False))
-    return out
+    return nc.concat(g, [*p.context_parts(domain), cls], axis=0)
 
 
 def template_context_rows(table: TokenTable) -> np.ndarray:
@@ -153,27 +127,16 @@ def similarity_logits(g: nc.Graph, prompt_embs, image_emb: nc.Tensor,
     return nc.scale(g, nc.concat(g, sims, axis=1), 1.0 / tau)
 
 
-def _prompt_embeddings(g: nc.Graph, enc: FrozenEncoders, table: TokenTable,
-                       p: DspParams, domain: int, classes) -> list[nc.Tensor]:
-    return [
-        encode_text(g, enc, assemble_prompt(g, p, domain, class_token(table, name)))
-        for name in classes
-    ]
+def prompt_embeddings(g: nc.Graph, enc: FrozenEncoders, context,
+                      class_tokens) -> list[nc.Tensor]:
+    """Text embedding of [context; cls] for each class token.
 
-
-def classify(enc: FrozenEncoders, table: TokenTable, p: DspParams,
-             image_emb: np.ndarray, domain: int, classes,
-             tau: float = TAU_DEFAULT) -> np.ndarray:
-    """Class probabilities (1, K) for one unit-norm image embedding."""
-    if len(classes) < 2:
-        raise ValueError("need at least two classes")
-    g = nc.Graph()
-    emb = nc.Tensor(np.asarray(image_emb, dtype=np.float32).reshape(1, -1))
-    logits = similarity_logits(
-        g, _prompt_embeddings(g, enc, table, p, domain, classes), emb, tau)
-    x = logits.data.astype(np.float64).ravel()
-    e = np.exp(x - x.max())
-    return (e / e.sum()).reshape(1, -1)
+    context is a list of row blocks: a client's [v, u^d] in training (the
+    gradient reaches them through the tape), a generated or averaged
+    block at inference.
+    """
+    return [encode_text(g, enc, nc.concat(g, [*context, cls], axis=0))
+            for cls in class_tokens]
 
 
 def dsp_train_step(p: DspParams, batch, enc: FrozenEncoders, table: TokenTable,
@@ -190,8 +153,10 @@ def dsp_train_step(p: DspParams, batch, enc: FrozenEncoders, table: TokenTable,
         raise ValueError("empty batch")
     g = nc.Graph()
     domains = sorted({d for d, _, _ in batch})
+    tokens = [class_token(table, name) for name in classes]
     embs_by_domain = {
-        d: _prompt_embeddings(g, enc, table, p, d, classes) for d in domains}
+        d: prompt_embeddings(g, enc, p.context_parts(d), tokens)
+        for d in domains}
     losses = []
     for domain, label, emb in batch:
         img = nc.Tensor(np.asarray(emb, dtype=np.float32).reshape(1, -1))

@@ -70,21 +70,8 @@ def encode_image(enc: FrozenEncoders, features: np.ndarray) -> np.ndarray:
         raise nc.ShapeError(
             f"encode_image wants (B, {enc.feature_dim}), got {x.shape}")
     g = nc.Graph()
-    return _image_forward(g, enc, nc.Tensor(x)).data
-
-
-def encode_image_grad(g: nc.Graph, enc: FrozenEncoders, features: nc.Tensor) -> nc.Tensor:
-    """Same map as encode_image but on the tape, so gradients can reach
-    the input features. Encoder weights stay frozen either way."""
-    if features.cols != enc.feature_dim:
-        raise nc.ShapeError(
-            f"encode_image wants (B, {enc.feature_dim}), got {features.shape}")
-    return _image_forward(g, enc, features)
-
-
-def _image_forward(g: nc.Graph, enc: FrozenEncoders, x: nc.Tensor) -> nc.Tensor:
-    h = nc.tanh(g, nc.matmul(g, x, enc.w_img1))
-    return nc.l2_normalize(g, nc.matmul(g, h, enc.w_img2))
+    h = nc.tanh(g, nc.matmul(g, nc.Tensor(x), enc.w_img1))
+    return nc.l2_normalize(g, nc.matmul(g, h, enc.w_img2)).data
 
 
 def encode_text(g: nc.Graph, enc: FrozenEncoders, tokens: nc.Tensor) -> nc.Tensor:

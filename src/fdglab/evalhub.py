@@ -28,8 +28,8 @@ import numpy as np
 from . import numcore as nc
 from .config import ExperimentConfig, config_hash, validate_config
 from .datagen import DomainDataset, gen_dataset, load_dataset
-from .dsp import DspParams, TAU_DEFAULT
-from .encoder import FrozenEncoders, TokenTable, encode_image, encode_text
+from .dsp import DspParams, prompt_embeddings
+from .encoder import FrozenEncoders, TokenTable, class_token, encode_image
 from .fed import FederatedTrainer
 from .promptgan import GanParams, generator_rows
 
@@ -66,13 +66,6 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return (e / e.sum()).reshape(1, -1)
 
 
-def _prompt_embedding(enc: FrozenEncoders, table: TokenTable,
-                      context_rows: np.ndarray, class_name: str) -> np.ndarray:
-    tokens = nc.Tensor(np.concatenate(
-        [context_rows, table.row(class_name)], axis=0))
-    return encode_text(nc.Graph(), enc, tokens).data
-
-
 def _draw_z(z_policy: str, z_samples: int, z_dim: int,
             z_seed: int) -> np.ndarray:
     if z_policy == "fixed-zero":
@@ -83,45 +76,6 @@ def _draw_z(z_policy: str, z_samples: int, z_dim: int,
     if z_policy not in ("seeded-sample", "mean-of-samples"):
         raise ValueError(f"unknown z_policy {z_policy!r}")
     return rng.standard_normal((n, z_dim)).astype(np.float32)
-
-
-def _generative_logits(gan: GanParams, enc: FrozenEncoders, table: TokenTable,
-                       image_emb: np.ndarray, classes, tau: float,
-                       z_policy: str, z_samples: int,
-                       z_seed: int) -> np.ndarray:
-    """Mean over z draws of the per-class similarity logits.
-
-    Every image shares the same seeded z draws, which keeps prediction a
-    pure function of its inputs and makes per-image evaluation order
-    irrelevant.
-    """
-    zs = _draw_z(z_policy, z_samples, gan.z_dim, z_seed)
-    reps = np.repeat(image_emb.astype(np.float32), zs.shape[0], axis=0)
-    flat = generator_rows(nc.Graph(), gan, nc.Tensor(zs), nc.Tensor(reps)).data
-    logits = np.zeros((zs.shape[0], len(classes)), dtype=np.float64)
-    for s in range(zs.shape[0]):
-        rows = flat[s].reshape(gan.n_rows, gan.d_tok)
-        for j, name in enumerate(classes):
-            w = _prompt_embedding(enc, table, rows, name)
-            logits[s, j] = (w @ image_emb.T).item() / tau
-    return logits.mean(axis=0)
-
-
-def predict(gan: GanParams | None, enc: FrozenEncoders, table: TokenTable,
-            x_features: np.ndarray, classes, tau: float = TAU_DEFAULT,
-            z_policy: str = "mean-of-samples", z_samples: int = 8,
-            z_seed: int = 0) -> Prediction:
-    """Generator-conditioned classification of one feature vector."""
-    if gan is None:
-        raise ValueError("no trained generator; run stage 2 or use wgm")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    if len(classes) < 2:
-        raise ValueError("need at least two classes")
-    emb = encode_image(enc, np.asarray(x_features, np.float32).reshape(1, -1))
-    logits = _generative_logits(gan, enc, table, emb, classes, tau,
-                                z_policy, z_samples, z_seed)
-    return prediction_from_probs(_softmax(logits))
 
 
 def wgm_context_rows(dsps: DspParams) -> np.ndarray:
@@ -138,21 +92,6 @@ def wgm_context_rows(dsps: DspParams) -> np.ndarray:
                           for d in sorted(dsps.u)])
         parts.append(stack.mean(axis=0).astype(np.float32))
     return np.concatenate(parts, axis=0)
-
-
-def predict_wgm(dsps: DspParams, enc: FrozenEncoders, table: TokenTable,
-                x_features: np.ndarray, classes,
-                tau: float = TAU_DEFAULT) -> Prediction:
-    """Classification against the tuned contexts, no generator involved."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    if len(classes) < 2:
-        raise ValueError("need at least two classes")
-    rows = wgm_context_rows(dsps)
-    emb = encode_image(enc, np.asarray(x_features, np.float32).reshape(1, -1))
-    logits = [(_prompt_embedding(enc, table, rows, name) @ emb.T).item() / tau
-              for name in classes]
-    return prediction_from_probs(_softmax(np.array(logits)))
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +200,12 @@ class InferenceModel:
     z_seed: int = 0
 
     def __post_init__(self):
-        # materialize class tokens so the table digest is stable under use
-        for name in self.classes:
-            self.table.row(name)
+        if self.tau <= 0:
+            raise ValueError("tau must be positive")
+        if len(self.classes) < 2:
+            raise ValueError("need at least two classes")
+        # materializes the class rows, so the table digest is stable under use
+        self._class_tokens = [class_token(self.table, n) for n in self.classes]
         self._wgm_embs: list[np.ndarray] | None = None
 
     @classmethod
@@ -291,31 +233,46 @@ class InferenceModel:
                 h.update(t.data.tobytes())
         return h.hexdigest()
 
+    def _class_embeddings(self, context_rows: np.ndarray) -> list[np.ndarray]:
+        return [e.data for e in prompt_embeddings(
+            nc.Graph(), self.enc, [nc.Tensor(context_rows)],
+            self._class_tokens)]
+
+    def _logits(self, class_embs, image_emb: np.ndarray) -> list[float]:
+        return [(w @ image_emb.T).item() / self.tau for w in class_embs]
+
+    def _generative_logits(self, image_emb: np.ndarray) -> np.ndarray:
+        """Mean over z draws of the per-class similarity logits.
+
+        Every image shares the same seeded z draws, which keeps prediction
+        a pure function of its inputs and makes per-image evaluation order
+        irrelevant.
+        """
+        gan = self.gan
+        zs = _draw_z(self.z_policy, self.z_samples, gan.z_dim, self.z_seed)
+        reps = np.repeat(image_emb.astype(np.float32), zs.shape[0], axis=0)
+        flat = generator_rows(nc.Graph(), gan, nc.Tensor(zs),
+                              nc.Tensor(reps)).data
+        logits = np.zeros((zs.shape[0], len(self.classes)), dtype=np.float64)
+        for s in range(zs.shape[0]):
+            logits[s] = self._logits(self._class_embeddings(
+                flat[s].reshape(gan.n_rows, gan.d_tok)), image_emb)
+        return logits.mean(axis=0)
+
     def predict_from_emb(self, image_emb: np.ndarray,
                          true_label: int | None = None) -> Prediction:
+        """Class probabilities for one (1, d) unit-norm image embedding."""
         if self.mode == "wgm":
             if self._wgm_embs is None:
-                rows = wgm_context_rows(self.prompt)
-                self._wgm_embs = [
-                    _prompt_embedding(self.enc, self.table, rows, name)
-                    for name in self.classes]
-            logits = np.array([(w @ image_emb.T).item() / self.tau
-                               for w in self._wgm_embs])
+                self._wgm_embs = self._class_embeddings(
+                    wgm_context_rows(self.prompt))
+            logits = np.array(self._logits(self._wgm_embs, image_emb))
         else:
             if self.gan is None:
                 raise ValueError(
                     "no trained generator; run stage 2 or use wgm")
-            logits = _generative_logits(
-                self.gan, self.enc, self.table, image_emb, self.classes,
-                self.tau, self.z_policy, self.z_samples, self.z_seed)
-        pred = prediction_from_probs(_softmax(logits), true_label)
-        return pred
-
-    def predict_features(self, x_features: np.ndarray,
-                         true_label: int | None = None) -> Prediction:
-        emb = encode_image(
-            self.enc, np.asarray(x_features, np.float32).reshape(1, -1))
-        return self.predict_from_emb(emb, true_label)
+            logits = self._generative_logits(image_emb)
+        return prediction_from_probs(_softmax(logits), true_label)
 
 
 def _domain_row(model: InferenceModel, ds: DomainDataset,
@@ -392,11 +349,8 @@ def cross_dataset(source_cfg: ExperimentConfig,
     trainer = FederatedTrainer(source_cfg, src, target_domain=None)
     trainer.run_all()
     model = InferenceModel.from_trainer(trainer, classes=tgt.classes)
-    report = EvalReport(protocol="cross-dataset", seed=source_cfg.seed_data,
-                        config_hash=config_hash(source_cfg))
-    before = model.state_digest()
-    for did, _ in tgt.domains:
-        report.rows.append(_domain_row(model, tgt, did))
-    if model.state_digest() != before:
-        raise RuntimeError("evaluation mutated model parameters")
-    return report
+    fingerprint = config_hash(source_cfg)
+    return merge_reports(
+        evaluate(model, tgt, did, protocol="cross-dataset",
+                 seed=source_cfg.seed_data, fingerprint=fingerprint)
+        for did, _ in tgt.domains)

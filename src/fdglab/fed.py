@@ -378,13 +378,33 @@ def momentum_aggregate(avg: dict[str, np.ndarray],
 # ---------------------------------------------------------------------------
 # round orchestration
 
-def gan_rows_for_mode(cfg: ExperimentConfig) -> int:
-    """Context rows the generator must produce under each prompt mode."""
+def new_gan(cfg: ExperimentConfig) -> GanParams:
+    """Freshly initialized GAN producing the prompt mode's context rows:
+    the four template rows under hdp, [v] under csp, [v; u^d] otherwise."""
     if cfg.prompt_mode == "hdp":
-        return 4
-    if cfg.prompt_mode == "csp":
-        return cfg.m1
-    return cfg.m1 + cfg.m2
+        n_rows = 4
+    elif cfg.prompt_mode == "csp":
+        n_rows = cfg.m1
+    else:
+        n_rows = cfg.m1 + cfg.m2
+    return GanParams(n_rows, cfg.d_tok, cfg.d, z_dim=cfg.z_dim,
+                     h=cfg.gan_hidden, seed=cfg.seed_model)
+
+
+def apply_named(named: dict[str, nc.Tensor],
+                arrays: dict[str, np.ndarray]) -> None:
+    """Overwrite parameters from aggregation output or a checkpoint.
+
+    named maps names to a holder's tensors (``named()`` of DspParams or
+    GanParams); names the holder lacks are ignored, so a client only
+    picks up its own domains.
+    """
+    for name, tensor in named.items():
+        if name in arrays:
+            new = np.asarray(arrays[name], dtype=np.float32)
+            if new.shape != tensor.data.shape:
+                raise ValueError(f"{name}: shape {new.shape} != {tensor.data.shape}")
+            tensor.data = new.copy()
 
 
 class _ClientState:
@@ -468,9 +488,7 @@ class _ClientState:
                 contexts[d] = self.prompt.context_rows(d).copy()
         embeddings = {d: self.data[d][0].copy() for d in self.domains}
         self.bank = RealPromptBank(contexts=contexts, embeddings=embeddings)
-        self.gan = GanParams(gan_rows_for_mode(cfg), cfg.d_tok, cfg.d,
-                             z_dim=cfg.z_dim, h=cfg.gan_hidden,
-                             seed=cfg.seed_model)
+        self.gan = new_gan(cfg)
         self.opt_g = nc.AdamW(lr=cfg.lr_gan, weight_decay=cfg.weight_decay)
         self.opt_d = nc.AdamW(lr=cfg.lr_gan, weight_decay=cfg.weight_decay)
 
@@ -591,9 +609,9 @@ class FederatedTrainer:
                 lambda c: c.stage1_span(self.enc, self.table, self.classes,
                                         self.lineage),
                 lambda c, r: c.stage1_message(r))
-            self.server_prompt.apply_named(dist)
+            apply_named(self.server_prompt.named(), dist)
             for client in self.clients:
-                client.prompt.apply_named(dist)
+                apply_named(client.prompt.named(), dist)
             if on_round is not None:
                 on_round(self, dist)
 
@@ -601,22 +619,19 @@ class FederatedTrainer:
         """Conditional-GAN rounds; a no-op under wgm (no generator)."""
         if self.cfg.prompt_mode == "wgm":
             return
-        cfg = self.cfg
         for client in self.clients:
             client.start_stage2(self.table)
             for d in client.bank.domains:
                 if d not in self.lineage["bank_domains"]:
                     self.lineage["bank_domains"].append(d)
         self.lineage["bank_domains"].sort()
-        self.server_gan = GanParams(
-            gan_rows_for_mode(cfg), cfg.d_tok, cfg.d, z_dim=cfg.z_dim,
-            h=cfg.gan_hidden, seed=cfg.seed_model)
-        for _ in range(n_rounds(cfg)):
+        self.server_gan = new_gan(self.cfg)
+        for _ in range(n_rounds(self.cfg)):
             dist = self._one_round(
                 2, lambda c: c.stage2_span(), lambda c, r: c.stage2_message(r))
-            self.server_gan.apply_named(dist)
+            apply_named(self.server_gan.named(), dist)
             for client in self.clients:
-                client.gan.apply_named(dist)
+                apply_named(client.gan.named(), dist)
             if on_round is not None:
                 on_round(self, dist)
 
@@ -638,13 +653,10 @@ class FederatedTrainer:
     def apply_checkpoint(self, entries: dict[str, np.ndarray]) -> None:
         """Restore server (and client) parameters from checkpoint entries."""
         if self.server_prompt is not None:
-            self.server_prompt.apply_named(entries)
+            apply_named(self.server_prompt.named(), entries)
             for client in self.clients:
-                client.prompt.apply_named(entries)
+                apply_named(client.prompt.named(), entries)
         if any(n.startswith(("G/", "D/")) for n in entries):
             if self.server_gan is None:
-                cfg = self.cfg
-                self.server_gan = GanParams(
-                    gan_rows_for_mode(cfg), cfg.d_tok, cfg.d,
-                    z_dim=cfg.z_dim, h=cfg.gan_hidden, seed=cfg.seed_model)
-            self.server_gan.apply_named(entries)
+                self.server_gan = new_gan(self.cfg)
+            apply_named(self.server_gan.named(), entries)

@@ -233,33 +233,27 @@ def scale(g: Graph, a: Tensor, s: float) -> Tensor:
 
 def concat(g: Graph, parts, axis: int = 0) -> Tensor:
     """Concatenate tensors along rows (axis=0) or cols (axis=1)."""
-    parts = list(parts)
+    parts = tuple(parts)
     if not parts:
         raise ShapeError("concat of zero tensors")
     if axis not in (0, 1):
         raise ShapeError(f"concat axis must be 0 or 1, got {axis}")
-    other = 1 - axis
-    base = parts[0].shape[other]
-    for p in parts[1:]:
-        if p.shape[other] != base:
-            raise ShapeError(
-                f"concat axis={axis}: mismatched shapes "
-                f"{[p.shape for p in parts]}"
-            )
-    out = Tensor(
-        np.concatenate([p.data for p in parts], axis=axis),
-        requires_grad=any(p.requires_grad for p in parts),
-    )
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum(sizes)[:-1]
+    try:
+        data = np.concatenate([p.data for p in parts], axis=axis)
+    except ValueError:
+        raise ShapeError(
+            f"concat axis={axis}: mismatched shapes {[p.shape for p in parts]}"
+        ) from None
+    out = Tensor(data, requires_grad=any([p.requires_grad for p in parts]))
 
     def vjp(gout):
+        offsets = np.cumsum([p.shape[axis] for p in parts])[:-1]
         pieces = np.split(gout, offsets, axis=axis)
         return tuple(
             piece if p.requires_grad else None for piece, p in zip(pieces, parts)
         )
 
-    return _finish(g, out, tuple(parts), vjp)
+    return _finish(g, out, parts, vjp)
 
 
 def reshape(g: Graph, a: Tensor, rows: int, cols: int) -> Tensor:
@@ -278,7 +272,8 @@ def row_mean(g: Graph, a: Tensor) -> Tensor:
     if a.rows < 1:
         raise ShapeError("row_mean of an empty tensor")
     n = a.rows
-    out64 = a.data.mean(axis=0, keepdims=True, dtype=np.float64)
+    # np.mean's own reduction, without its Python wrapper
+    out64 = np.add.reduce(a.data, axis=0, dtype=np.float64, keepdims=True) / n
     out = Tensor(out64, requires_grad=a.requires_grad)
 
     def vjp(gout):

@@ -83,14 +83,6 @@ class GanParams:
             out[f"D/l{i}.b"] = b
         return out
 
-    def apply_named(self, arrays: dict[str, np.ndarray]) -> None:
-        for name, tensor in self.named().items():
-            if name in arrays:
-                new = np.asarray(arrays[name], dtype=np.float32)
-                if new.shape != tensor.data.shape:
-                    raise ValueError(f"{name}: shape {new.shape} != {tensor.data.shape}")
-                tensor.data = new.copy()
-
     def checksum_g(self) -> bytes:
         return b"".join(t.data.tobytes() for t in self.g_params())
 
@@ -118,15 +110,6 @@ def generator_rows(g: nc.Graph, gan: GanParams, z: nc.Tensor,
     return _mlp(g, x, gan.g_layers, nc.tanh)
 
 
-def generate(gan: GanParams, z: np.ndarray, image_emb: np.ndarray) -> np.ndarray:
-    """One conditional context block, shape (n_rows, d_tok)."""
-    g = nc.Graph()
-    zt = nc.Tensor(np.asarray(z, dtype=np.float32).reshape(1, -1))
-    et = nc.Tensor(np.asarray(image_emb, dtype=np.float32).reshape(1, -1))
-    flat = generator_rows(g, gan, zt, et)
-    return nc.reshape(g, flat, gan.n_rows, gan.d_tok).data
-
-
 def discriminator_logits(g: nc.Graph, gan: GanParams, flat_prompts: nc.Tensor,
                          image_emb: nc.Tensor) -> nc.Tensor:
     """Batched discriminator forward: (B, n_rows*d_tok) x (B, d) -> (B, 1)."""
@@ -136,18 +119,6 @@ def discriminator_logits(g: nc.Graph, gan: GanParams, flat_prompts: nc.Tensor,
             f"got {flat_prompts.shape} and {image_emb.shape}")
     x = nc.concat(g, [flat_prompts, image_emb], axis=1)
     return _mlp(g, x, gan.d_layers, nc.relu)
-
-
-def discriminate(gan: GanParams, prompt: np.ndarray, image_emb: np.ndarray) -> float:
-    """Real-logit for one (context rows, image embedding) pair."""
-    prompt = np.asarray(prompt, dtype=np.float32)
-    if prompt.shape != (gan.n_rows, gan.d_tok):
-        raise nc.ShapeError(
-            f"prompt must be ({gan.n_rows}, {gan.d_tok}), got {prompt.shape}")
-    g = nc.Graph()
-    flat = nc.Tensor(prompt.reshape(1, -1))
-    emb = nc.Tensor(np.asarray(image_emb, dtype=np.float32).reshape(1, -1))
-    return discriminator_logits(g, gan, flat, emb).item()
 
 
 @dataclass

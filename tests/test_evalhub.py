@@ -66,18 +66,28 @@ def test_prediction_contracts():
 
 
 # ---------------------------------------------------------------------------
-# inference paths
+# inference path: InferenceModel built directly
+
+def make_model(enc, table, classes, mode="dsp", tau=0.05, **kwargs):
+    return ev.InferenceModel(enc=enc, table=table, classes=list(classes),
+                             tau=tau, mode=mode, **kwargs)
+
+
+def predict(model, x_features):
+    emb = encode_image(model.enc, np.asarray(x_features, np.float32))
+    return model.predict_from_emb(emb)
+
 
 def test_predict_requires_generator_and_sane_args():
     enc, table, prompt = tiny_parts()
-    x = np.zeros(16, np.float32)
+    x = np.ones(16, np.float32)
     with pytest.raises(ValueError, match="generator"):
-        ev.predict(None, enc, table, x, ["a", "b"])
+        predict(make_model(enc, table, ["a", "b"]), x)
     gan = GanParams(n_rows=4, d_tok=8, d=8, z_dim=4, h=8, seed=0)
-    with pytest.raises(ValueError):
-        ev.predict(gan, enc, table, x, ["a", "b"], tau=0.0)
-    with pytest.raises(ValueError):
-        ev.predict(gan, enc, table, x, ["only"])
+    with pytest.raises(ValueError, match="tau"):
+        make_model(enc, table, ["a", "b"], gan=gan, tau=0.0)
+    with pytest.raises(ValueError, match="two classes"):
+        make_model(enc, table, ["only"], gan=gan)
 
 
 def test_constant_generator_matches_wgm():
@@ -92,11 +102,13 @@ def test_constant_generator_matches_wgm():
     gan.g_layers[-1][1].data = rows.reshape(1, -1).copy()
     rng = np.random.default_rng(3)
     classes = ["ant", "bee", "cat"]
+    generative = make_model(enc, table, classes, gan=gan,
+                            z_policy="fixed-zero")
+    wgm = make_model(enc, table, classes, mode="wgm", prompt=prompt)
     for _ in range(5):
         x = rng.normal(0, 3, 16).astype(np.float32)
-        a = ev.predict(gan, enc, table, x, classes, tau=0.05,
-                       z_policy="fixed-zero")
-        b = ev.predict_wgm(prompt, enc, table, x, classes, tau=0.05)
+        a = predict(generative, x)
+        b = predict(wgm, x)
         assert a.predicted == b.predicted
         np.testing.assert_allclose(a.probs, b.probs, rtol=0, atol=1e-9)
 
@@ -106,10 +118,10 @@ def test_tau_rescales_but_argmax_invariant():
     gan = GanParams(n_rows=4, d_tok=8, d=8, z_dim=4, h=8, seed=0)
     x = np.arange(16, dtype=np.float32)
     classes = ["ant", "bee", "cat"]
-    sharp = ev.predict(gan, enc, table, x, classes, tau=0.02,
-                       z_policy="fixed-zero")
-    soft = ev.predict(gan, enc, table, x, classes, tau=0.5,
-                      z_policy="fixed-zero")
+    sharp = predict(make_model(enc, table, classes, gan=gan, tau=0.02,
+                               z_policy="fixed-zero"), x)
+    soft = predict(make_model(enc, table, classes, gan=gan, tau=0.5,
+                              z_policy="fixed-zero"), x)
     assert sharp.predicted == soft.predicted
     assert sharp.probs.max() > soft.probs.max()
     assert not np.allclose(sharp.probs, soft.probs)
@@ -117,8 +129,9 @@ def test_tau_rescales_but_argmax_invariant():
 
 def test_identical_class_tokens_give_uniform_probs():
     enc, table, prompt = tiny_parts()
-    p = ev.predict_wgm(prompt, enc, table, np.ones(16, np.float32),
-                       ["same", "same", "same"], tau=0.05)
+    model = make_model(enc, table, ["same", "same", "same"], mode="wgm",
+                       prompt=prompt)
+    p = predict(model, np.ones(16, np.float32))
     np.testing.assert_allclose(p.probs, np.full((1, 3), 1 / 3), atol=1e-12)
 
 
@@ -151,22 +164,22 @@ def test_z_policies_differ_and_validate():
     gan = GanParams(n_rows=4, d_tok=8, d=8, z_dim=4, h=8, seed=0)
     x = np.ones(16, np.float32)
     classes = ["ant", "bee", "cat"]
-    outs = {zp: ev.predict(gan, enc, table, x, classes, tau=0.05,
-                           z_policy=zp, z_samples=4).probs
+    outs = {zp: predict(make_model(enc, table, classes, gan=gan, z_policy=zp,
+                                   z_samples=4), x).probs
             for zp in cf.Z_POLICIES}
     assert not np.allclose(outs["fixed-zero"], outs["seeded-sample"])
     with pytest.raises(ValueError, match="z_policy"):
-        ev.predict(gan, enc, table, x, classes, z_policy="bogus")
+        predict(make_model(enc, table, classes, gan=gan, z_policy="bogus"), x)
 
 
 def test_prediction_is_deterministic():
     enc, table, prompt = tiny_parts()
     gan = GanParams(n_rows=4, d_tok=8, d=8, z_dim=4, h=8, seed=0)
     x = np.linspace(-1, 1, 16).astype(np.float32)
-    a = ev.predict(gan, enc, table, x, ["a", "b"], z_policy="mean-of-samples",
-                   z_samples=4, z_seed=9)
-    b = ev.predict(gan, enc, table, x, ["a", "b"], z_policy="mean-of-samples",
-                   z_samples=4, z_seed=9)
+    a, b = (predict(make_model(enc, table, ["a", "b"], gan=gan,
+                               z_policy="mean-of-samples", z_samples=4,
+                               z_seed=9), x)
+            for _ in range(2))
     np.testing.assert_array_equal(a.probs, b.probs)
 
 
@@ -314,8 +327,10 @@ def test_from_trainer_respects_class_override():
     trainer.run_all()
     model = ev.InferenceModel.from_trainer(trainer, classes=["x", "y"])
     assert model.classes == ["x", "y"]
-    pred = model.predict_features(np.ones(16, np.float32))
+    pred = predict(model, np.ones(16, np.float32))
     assert pred.probs.shape == (1, 2)
+    with pytest.raises(ValueError, match="two classes"):
+        ev.InferenceModel.from_trainer(trainer, classes=["x"])
 
 
 def test_wgm_model_skips_generator():

@@ -8,6 +8,8 @@ import pytest
 from fdglab import config as cf
 from fdglab import datagen as dg
 from fdglab import fed
+from fdglab.dsp import make_prompt_params
+from fdglab.promptgan import GanParams
 
 
 def small_cfg(**overrides):
@@ -449,7 +451,33 @@ def test_trainer_target_domain_validation():
 
 
 def test_gan_rows_for_mode():
-    assert fed.gan_rows_for_mode(small_cfg(prompt_mode="dsp")) == 4
-    assert fed.gan_rows_for_mode(small_cfg(prompt_mode="csp")) == 2
-    assert fed.gan_rows_for_mode(small_cfg(prompt_mode="hdp")) == 4
-    assert fed.gan_rows_for_mode(small_cfg(m1=3, m2=1)) == 4
+    assert fed.new_gan(small_cfg(prompt_mode="dsp")).n_rows == 4
+    assert fed.new_gan(small_cfg(prompt_mode="csp")).n_rows == 2
+    assert fed.new_gan(small_cfg(prompt_mode="hdp")).n_rows == 4
+    assert fed.new_gan(small_cfg(m1=3, m2=1)).n_rows == 4
+    cfg = small_cfg()
+    gan = fed.new_gan(cfg)
+    assert (gan.d_tok, gan.d, gan.z_dim, gan.h, gan.seed) == (
+        cfg.d_tok, cfg.d, cfg.z_dim, cfg.gan_hidden, cfg.seed_model)
+
+
+def test_named_and_apply_named():
+    p = make_prompt_params("dsp", domains=[2, 0], d_tok=8, seed=0)
+    named = p.named()
+    assert list(named) == ["v", "u/0", "u/2"]
+    new = {k: np.full_like(t.data, 7.0) for k, t in named.items()}
+    fed.apply_named(p.named(), new)
+    assert (p.v.data == 7.0).all() and (p.u[2].data == 7.0).all()
+    with pytest.raises(ValueError):
+        fed.apply_named(p.named(), {"v": np.zeros((1, 1), dtype=np.float32)})
+
+
+def test_apply_named_round_trips():
+    gan = GanParams(n_rows=4, d_tok=8, d=8, z_dim=4, h=16, seed=0)
+    other = GanParams(n_rows=4, d_tok=8, d=8, z_dim=4, h=16, seed=9)
+    fed.apply_named(other.named(), {k: t.data for k, t in gan.named().items()})
+    assert other.checksum_g() == gan.checksum_g()
+    assert other.checksum_d() == gan.checksum_d()
+    with pytest.raises(ValueError):
+        fed.apply_named(gan.named(),
+                        {"G/l0.w": np.zeros((2, 2), dtype=np.float32)})
