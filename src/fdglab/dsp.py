@@ -118,13 +118,12 @@ def template_context_rows(table: TokenTable) -> np.ndarray:
     return np.concatenate([table.row(w) for w in _HDP_WORDS], axis=0)
 
 
-def similarity_logits(g: nc.Graph, prompt_embs, image_emb: nc.Tensor,
-                      tau: float) -> nc.Tensor:
-    """1 x K logits: cosine(prompt_emb_i, image_emb) / tau."""
+def similarity_logits(g: nc.Graph, prompt_embs: nc.Tensor,
+                      image_emb: nc.Tensor, tau: float) -> nc.Tensor:
+    """1 x K logits: cosine(row i of the K x d prompt_embs, image_emb) / tau."""
     if tau <= 0:
         raise ValueError("tau must be positive")
-    sims = [nc.cosine_sim(g, pe, image_emb) for pe in prompt_embs]
-    return nc.scale(g, nc.concat(g, sims, axis=1), 1.0 / tau)
+    return nc.scale(g, nc.cosine_sim(g, prompt_embs, image_emb), 1.0 / tau)
 
 
 def prompt_embeddings(g: nc.Graph, enc: FrozenEncoders, context,
@@ -145,8 +144,8 @@ def dsp_train_step(p: DspParams, batch, enc: FrozenEncoders, table: TokenTable,
 
     batch: sequence of (domain_id, class_id, image_embedding) with
     unit-norm embeddings. Returns the pre-step mean cross entropy.
-    Prompt embeddings are computed once per domain present in the batch
-    and shared across its samples on a single tape.
+    Prompt embeddings are computed and stacked once per domain present in
+    the batch and shared across its samples on a single tape.
     """
     batch = list(batch)
     if not batch:
@@ -155,7 +154,7 @@ def dsp_train_step(p: DspParams, batch, enc: FrozenEncoders, table: TokenTable,
     domains = sorted({d for d, _, _ in batch})
     tokens = [class_token(table, name) for name in classes]
     embs_by_domain = {
-        d: prompt_embeddings(g, enc, p.context_parts(d), tokens)
+        d: nc.concat(g, prompt_embeddings(g, enc, p.context_parts(d), tokens))
         for d in domains}
     losses = []
     for domain, label, emb in batch:

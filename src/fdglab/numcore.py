@@ -17,6 +17,7 @@ caller resets them (see ``reset_grads``).
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -147,29 +148,27 @@ def backward(graph: Graph, loss: Tensor) -> None:
     """
     if loss.data.shape != (1, 1):
         raise GraphError(f"backward root must be a 1x1 scalar, got {loss.data.shape}")
-    produced = {id(n.out) for n in graph.nodes}
-    if loss.requires_grad and id(loss) not in produced and graph.nodes:
+    nodes = graph.nodes
+    # the loss is almost always the last op recorded; scan only otherwise
+    if (loss.requires_grad and nodes and nodes[-1].out is not loss
+            and all(n.out is not loss for n in nodes)):
         raise GraphError("loss is not a node of this graph")
 
-    flow: dict[int, np.ndarray] = {id(loss): np.ones((1, 1), dtype=np.float32)}
-    holders: dict[int, Tensor] = {id(loss): loss}
-    for node in reversed(graph.nodes):
-        gout = flow.pop(id(node.out), None)
-        holders.pop(id(node.out), None)
-        if gout is None:
+    # id(tensor) -> (tensor, gradient flowing into it)
+    flow: dict[int, tuple[Tensor, np.ndarray]] = {
+        id(loss): (loss, np.ones((1, 1), dtype=np.float32))}
+    for node in reversed(nodes):
+        entry = flow.pop(id(node.out), None)
+        if entry is None:
             continue
-        for parent, gp in zip(node.parents, node.vjp(gout)):
+        for parent, gp in zip(node.parents, node.vjp(entry[1])):
             if gp is None or not parent.requires_grad:
                 continue
             k = id(parent)
-            if k in flow:
-                flow[k] = flow[k] + gp
-            else:
-                flow[k] = gp
-                holders[k] = parent
+            prev = flow.get(k)
+            flow[k] = (parent, gp if prev is None else prev[1] + gp)
     # whatever remains flowed into leaves
-    for k, acc in flow.items():
-        leaf = holders[k]
+    for leaf, acc in flow.values():
         if not leaf.requires_grad:
             continue
         if leaf.grad is None:
@@ -247,11 +246,17 @@ def concat(g: Graph, parts, axis: int = 0) -> Tensor:
     out = Tensor(data, requires_grad=any([p.requires_grad for p in parts]))
 
     def vjp(gout):
-        offsets = np.cumsum([p.shape[axis] for p in parts])[:-1]
-        pieces = np.split(gout, offsets, axis=axis)
-        return tuple(
-            piece if p.requires_grad else None for piece, p in zip(pieces, parts)
-        )
+        pieces, start = [], 0
+        for p in parts:
+            stop = start + p.data.shape[axis]
+            if not p.requires_grad:
+                pieces.append(None)
+            elif axis == 0:
+                pieces.append(gout[start:stop])
+            else:
+                pieces.append(gout[:, start:stop])
+            start = stop
+        return tuple(pieces)
 
     return _finish(g, out, parts, vjp)
 
@@ -337,25 +342,30 @@ def l2_normalize(g: Graph, a: Tensor) -> Tensor:
 
 
 def cosine_sim(g: Graph, a: Tensor, b: Tensor) -> Tensor:
-    """Cosine similarity of two 1 x d vectors, as a 1x1 tensor in [-1, 1]."""
-    if a.rows != 1 or b.rows != 1 or a.cols != b.cols:
-        raise ShapeError(f"cosine_sim needs matching 1xd vectors, got {a.shape}, {b.shape}")
-    a64 = a.data.astype(np.float64).ravel()
+    """Cosine similarity of each row of a (R x d) with the 1 x d vector b,
+    as a 1 x R tensor in [-1, 1]."""
+    if b.rows != 1 or a.cols != b.cols:
+        raise ShapeError(
+            f"cosine_sim needs R x d rows and a 1 x d vector, got {a.shape}, {b.shape}")
+    a64 = a.data.astype(np.float64)
     b64 = b.data.astype(np.float64).ravel()
-    na = np.sqrt(a64 @ a64)
-    nb = np.sqrt(b64 @ b64)
-    if na < 1e-12 or nb < 1e-12:
+    # one 1-d dot per row, so row i sums exactly as a lone pair would
+    na = np.sqrt([r @ r for r in a64])
+    nb = math.sqrt(b64 @ b64)
+    if (na < 1e-12).any() or nb < 1e-12:
         raise DegenerateInputError("cosine_sim: zero-norm input")
-    cos = float(np.clip((a64 @ b64) / (na * nb), -1.0, 1.0))
-    out = Tensor(np.array([[cos]]), requires_grad=a.requires_grad or b.requires_grad)
+    cos = np.clip(np.array([r @ b64 for r in a64]) / (na * nb), -1.0, 1.0)
+    out = Tensor(cos, requires_grad=a.requires_grad or b.requires_grad)
+    na, cos = na[:, None], cos[:, None]
 
     def vjp(gout):
-        s = float(gout[0, 0])
+        s = gout.astype(np.float64).reshape(-1, 1)
         ga = gb = None
         if a.requires_grad:
-            ga = (s * (b64 / (na * nb) - cos * a64 / (na * na))).astype(np.float32).reshape(1, -1)
+            ga = (s * (b64 / (na * nb) - cos * a64 / (na * na))).astype(np.float32)
         if b.requires_grad:
-            gb = (s * (a64 / (na * nb) - cos * b64 / (nb * nb))).astype(np.float32).reshape(1, -1)
+            per_row = s * (a64 / (na * nb) - cos * b64 / (nb * nb))
+            gb = per_row.sum(axis=0, keepdims=True).astype(np.float32)
         return ga, gb
 
     return _finish(g, out, (a, b), vjp)

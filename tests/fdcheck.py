@@ -213,10 +213,10 @@ def stage1_cases(seed: int):
     tau = 0.5
 
     def batch_loss(g, p):
-        prompt_embs = [
+        prompt_embs = nc.concat(g, [
             encode_text(g, enc, dsp.assemble_prompt(g, p, 0, class_token(table, n)))
             for n in classes
-        ]
+        ])
         losses = []
         for i, label in enumerate(labels):
             logits = dsp.similarity_logits(

@@ -136,6 +136,33 @@ def test_cosine_sim_bounds_and_values():
         nc.cosine_sim(g, a, nc.Tensor([[0.0, 0.0]]))
     with pytest.raises(nc.ShapeError):
         nc.cosine_sim(g, a, nc.Tensor([[1.0, 2.0, 3.0]]))
+    with pytest.raises(nc.ShapeError):
+        nc.cosine_sim(g, a, nc.Tensor([[1.0, 0.0], [0.0, 1.0]]))
+
+
+def test_cosine_sim_rows_match_lone_pairs_bit_for_bit(rng):
+    rows = rng.normal(0, 1, (5, 9)).astype(np.float32)
+    vec = rng.normal(0, 1, (1, 9)).astype(np.float32)
+    weights = rng.normal(0, 1, (1, 5)).astype(np.float32)
+
+    def loss_grads(stacked: bool):
+        g = nc.Graph()
+        a = [nc.Tensor(r, requires_grad=True) for r in rows]
+        b = nc.Tensor(vec, requires_grad=True)
+        if stacked:
+            sims = nc.cosine_sim(g, nc.concat(g, a), b)
+        else:
+            sims = nc.concat(g, [nc.cosine_sim(g, r, b) for r in a], axis=1)
+        w = nc.Tensor(weights.T)
+        nc.backward(g, nc.matmul(g, sims, w))
+        return sims.data, [t.grad for t in a], b.grad
+
+    s1, ga1, gb1 = loss_grads(True)
+    s0, ga0, gb0 = loss_grads(False)
+    assert s1.tobytes() == s0.tobytes()
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(ga1, ga0))
+    # b sums its per-row gradients in float64 instead of float32 tape order
+    assert np.allclose(gb1, gb0, atol=1e-6)
 
 
 def test_softmax_ce_uniform_logits_is_log_k():
