@@ -32,7 +32,7 @@ PROMPT_MODES = ("dsp", "csp", "wgm", "hdp")
 _STREAM_V = 10
 _STREAM_U = 11
 
-_HDP_WORDS = ("a", "photo", "of", "a")
+HDP_WORDS = ("a", "photo", "of", "a")
 
 
 @dataclass
@@ -114,8 +114,9 @@ def assemble_prompt(g: nc.Graph, p: DspParams, domain: int,
 
 
 def template_context_rows(table: TokenTable) -> np.ndarray:
-    """The fixed template block (4, d_tok); hdp's stand-in for [v; u^d]."""
-    return np.concatenate([table.row(w) for w in _HDP_WORDS], axis=0)
+    """The fixed template block (len(HDP_WORDS), d_tok); hdp's stand-in
+    for [v; u^d]."""
+    return np.concatenate([table.row(w) for w in HDP_WORDS], axis=0)
 
 
 def similarity_logits(g: nc.Graph, prompt_embs: nc.Tensor,
@@ -128,13 +129,13 @@ def similarity_logits(g: nc.Graph, prompt_embs: nc.Tensor,
 
 def prompt_embeddings(g: nc.Graph, enc: FrozenEncoders, context,
                       class_tokens) -> list[nc.Tensor]:
-    """Text embedding of [context; cls] for each class token.
+    """Text embedding of the mean-pooled [context; cls] for each class token.
 
-    context is a list of row blocks: a client's [v, u^d] in training (the
-    gradient reaches them through the tape), a generated or averaged
-    block at inference.
+    Stage 1 only: context is a client's [v, u^d] row blocks, and the
+    gradient reaches them through the tape. Inference pools its prompts
+    outside the tape (``evalhub.InferenceModel``).
     """
-    return [encode_text(g, enc, nc.concat(g, [*context, cls], axis=0))
+    return [encode_text(g, enc, nc.row_mean(g, nc.concat(g, [*context, cls])))
             for cls in class_tokens]
 
 

@@ -2,10 +2,11 @@
 
 A stand-in for a pretrained vision-language encoder pair at desk scale:
 an image encoder f mapping raw feature vectors to unit-norm embeddings,
-a text encoder g mapping token-row sequences to the same space, and a
-token table assigning every name a fixed embedding row. All weights are
-drawn once from a seeded Gaussian and never trained; gradients flow only
-into the text encoder's *input* (that is how prompt tuning works).
+a text encoder g mapping mean-pooled prompts (one token row each) to the
+same space, and a token table assigning every name a fixed embedding
+row. All weights are drawn once from a seeded Gaussian and never
+trained; gradients flow only into the text encoder's *input* (that is
+how prompt tuning works).
 
 Both encoders run through the numcore ops, so tape and inference paths
 share one set of numerics.
@@ -74,17 +75,19 @@ def encode_image(enc: FrozenEncoders, features: np.ndarray) -> np.ndarray:
     return nc.l2_normalize(g, nc.matmul(g, h, enc.w_img2)).data
 
 
-def encode_text(g: nc.Graph, enc: FrozenEncoders, tokens: nc.Tensor) -> nc.Tensor:
-    """Mean-pool token rows, apply the frozen text net, l2-normalize.
+def encode_text(g: nc.Graph, enc: FrozenEncoders, pooled: nc.Tensor) -> nc.Tensor:
+    """Frozen text net on R mean-pooled prompts: (R, d_tok) -> (R, d),
+    each output row l2-normalized.
 
-    Differentiable w.r.t. tokens; this is the path prompt gradients take.
+    The caller pools each prompt's token rows into one row (``nc.row_mean``
+    on the tape in training). Differentiable w.r.t. the pooled rows; this
+    is the path prompt gradients take.
     """
-    if tokens.rows < 1:
-        raise nc.ShapeError("encode_text needs at least one token row")
-    if tokens.cols != enc.d_tok:
+    if pooled.rows < 1:
+        raise nc.ShapeError("encode_text needs at least one pooled row")
+    if pooled.cols != enc.d_tok:
         raise nc.ShapeError(
-            f"encode_text wants rows of width {enc.d_tok}, got {tokens.shape}")
-    pooled = nc.row_mean(g, tokens)
+            f"encode_text wants rows of width {enc.d_tok}, got {pooled.shape}")
     h = nc.tanh(g, nc.matmul(g, pooled, enc.w_txt1))
     return nc.l2_normalize(g, nc.matmul(g, h, enc.w_txt2))
 

@@ -1,12 +1,12 @@
 """Generator-driven inference, metrics, and the evaluation protocols.
 
 A target image is classified by conditioning the trained generator on
-its embedding: for each class the generated context rows are stacked
-with that class token, text-encoded to a unit vector, and scored against
-the image embedding by inner product over temperature (identical to
-cosine because both sides are unit-norm). The wgm variant skips the
-generator and scores against the tuned contexts directly, using the mean
-of the per-domain rows.
+its embedding: each z draw gives a block of context rows, each prompt
+[block; cls] is mean-pooled and text-encoded (one encoder call per image)
+and scored against the image embedding by inner product over temperature
+(identical to cosine because both sides are unit-norm), and the logits
+are averaged over the blocks. The wgm variant skips the generator: its
+one block is the tuned [v; mean of the per-domain rows].
 
 Protocols: leave-one-domain-out (train once per held-out domain) and
 cross-dataset transfer (train on every domain of one dataset, score each
@@ -28,8 +28,8 @@ import numpy as np
 from . import numcore as nc
 from .config import ExperimentConfig, config_hash, validate_config
 from .datagen import DomainDataset, gen_dataset, load_dataset
-from .dsp import DspParams, prompt_embeddings
-from .encoder import FrozenEncoders, TokenTable, class_token, encode_image
+from .dsp import DspParams
+from .encoder import FrozenEncoders, TokenTable, encode_image, encode_text
 from .fed import FederatedTrainer
 from .promptgan import GanParams, generator_rows
 
@@ -45,7 +45,6 @@ class Prediction:
 
     probs: np.ndarray
     predicted: int
-    true_label: int | None = None
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=np.float64).reshape(1, -1)
@@ -53,11 +52,9 @@ class Prediction:
             raise ValueError("probabilities must sum to 1")
 
 
-def prediction_from_probs(probs: np.ndarray,
-                          true_label: int | None = None) -> Prediction:
+def prediction_from_probs(probs: np.ndarray) -> Prediction:
     probs = np.asarray(probs, dtype=np.float64).reshape(1, -1)
-    return Prediction(probs=probs, predicted=int(np.argmax(probs[0])),
-                      true_label=true_label)
+    return Prediction(probs=probs, predicted=int(np.argmax(probs[0])))
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -205,8 +202,8 @@ class InferenceModel:
         if len(self.classes) < 2:
             raise ValueError("need at least two classes")
         # materializes the class rows, so the table digest is stable under use
-        self._class_tokens = [class_token(self.table, n) for n in self.classes]
-        self._wgm_embs: list[np.ndarray] | None = None
+        self._class_rows = np.concatenate(
+            [self.table.row(n) for n in self.classes]).astype(np.float64)
 
     @classmethod
     def from_trainer(cls, trainer: FederatedTrainer,
@@ -233,46 +230,38 @@ class InferenceModel:
                 h.update(t.data.tobytes())
         return h.hexdigest()
 
-    def _class_embeddings(self, context_rows: np.ndarray) -> list[np.ndarray]:
-        return [e.data for e in prompt_embeddings(
-            nc.Graph(), self.enc, [nc.Tensor(context_rows)],
-            self._class_tokens)]
+    def _class_embeddings(self, contexts: np.ndarray) -> np.ndarray:
+        """(M*K, d) embeddings of the prompts [contexts[m]; cls_k], m-major,
+        pooled by the same sequential float64 sum as ``nc.row_mean``."""
+        n = contexts.shape[1]
+        sums = np.add.reduce(contexts, axis=1, dtype=np.float64)
+        pooled = (sums[:, None, :] + self._class_rows) / (n + 1)
+        return encode_text(nc.Graph(), self.enc, nc.Tensor(
+            pooled.reshape(-1, pooled.shape[2]))).data
 
-    def _logits(self, class_embs, image_emb: np.ndarray) -> list[float]:
-        return [(w @ image_emb.T).item() / self.tau for w in class_embs]
-
-    def _generative_logits(self, image_emb: np.ndarray) -> np.ndarray:
-        """Mean over z draws of the per-class similarity logits.
-
-        Every image shares the same seeded z draws, which keeps prediction
-        a pure function of its inputs and makes per-image evaluation order
-        irrelevant.
-        """
-        gan = self.gan
-        zs = _draw_z(self.z_policy, self.z_samples, gan.z_dim, self.z_seed)
-        reps = np.repeat(image_emb.astype(np.float32), zs.shape[0], axis=0)
-        flat = generator_rows(nc.Graph(), gan, nc.Tensor(zs),
-                              nc.Tensor(reps)).data
-        logits = np.zeros((zs.shape[0], len(self.classes)), dtype=np.float64)
-        for s in range(zs.shape[0]):
-            logits[s] = self._logits(self._class_embeddings(
-                flat[s].reshape(gan.n_rows, gan.d_tok)), image_emb)
-        return logits.mean(axis=0)
-
-    def predict_from_emb(self, image_emb: np.ndarray,
-                         true_label: int | None = None) -> Prediction:
+    def predict_from_emb(self, image_emb: np.ndarray) -> Prediction:
         """Class probabilities for one (1, d) unit-norm image embedding."""
         if self.mode == "wgm":
-            if self._wgm_embs is None:
-                self._wgm_embs = self._class_embeddings(
-                    wgm_context_rows(self.prompt))
-            logits = np.array(self._logits(self._wgm_embs, image_emb))
+            contexts = wgm_context_rows(self.prompt)[None]
         else:
-            if self.gan is None:
+            gan = self.gan
+            if gan is None:
                 raise ValueError(
                     "no trained generator; run stage 2 or use wgm")
-            logits = self._generative_logits(image_emb)
-        return prediction_from_probs(_softmax(logits), true_label)
+            # Every image shares the same seeded z draws, which keeps
+            # prediction a pure function of its inputs and makes per-image
+            # evaluation order irrelevant.
+            zs = _draw_z(self.z_policy, self.z_samples, gan.z_dim, self.z_seed)
+            reps = np.repeat(image_emb.astype(np.float32), zs.shape[0], axis=0)
+            contexts = generator_rows(
+                nc.Graph(), gan, nc.Tensor(zs), nc.Tensor(reps)).data.reshape(
+                zs.shape[0], gan.n_rows, gan.d_tok)
+        embs = self._class_embeddings(contexts)
+        # a stack of 1 x d by d x 1 products, each rounding like a lone
+        # w @ x.T; one (M*K, d) @ (d, 1) product rounds differently
+        logits = np.matmul(embs[:, None, :], image_emb.T).reshape(
+            contexts.shape[0], len(self.classes)).astype(np.float64) / self.tau
+        return prediction_from_probs(_softmax(logits.mean(axis=0)))
 
 
 def _domain_row(model: InferenceModel, ds: DomainDataset,
@@ -281,10 +270,10 @@ def _domain_row(model: InferenceModel, ds: DomainDataset,
     if idx.size == 0:
         raise ValueError(f"empty target set for domain {target_domain}")
     embs = encode_image(model.enc, ds.features[idx])
-    labels = ds.class_ids[idx]
-    preds = [model.predict_from_emb(embs[i:i + 1], int(labels[i])).predicted
+    preds = [model.predict_from_emb(embs[i:i + 1]).predicted
              for i in range(embs.shape[0])]
-    acc, f1 = accuracy_and_macro_f1(labels, preds, len(model.classes))
+    acc, f1 = accuracy_and_macro_f1(ds.class_ids[idx], preds,
+                                    len(model.classes))
     name = dict(ds.domains)[target_domain]
     return {"target_domain": name, "domain_id": int(target_domain),
             "accuracy": acc, "macro_f1": f1, "n": int(idx.size)}

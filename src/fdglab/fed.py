@@ -28,7 +28,7 @@ import numpy as np
 from . import numcore as nc
 from .config import ExperimentConfig, n_rounds, validate_config
 from .datagen import DomainDataset
-from .dsp import (DspParams, dsp_train_step, make_prompt_params,
+from .dsp import (HDP_WORDS, DspParams, dsp_train_step, make_prompt_params,
                   template_context_rows)
 from .encoder import FrozenEncoders, TokenTable, encode_image
 from .promptgan import GanParams, RealPromptBank, gan_train_step
@@ -380,9 +380,9 @@ def momentum_aggregate(avg: dict[str, np.ndarray],
 
 def new_gan(cfg: ExperimentConfig) -> GanParams:
     """Freshly initialized GAN producing the prompt mode's context rows:
-    the four template rows under hdp, [v] under csp, [v; u^d] otherwise."""
+    the template rows under hdp, [v] under csp, [v; u^d] otherwise."""
     if cfg.prompt_mode == "hdp":
-        n_rows = 4
+        n_rows = len(HDP_WORDS)
     elif cfg.prompt_mode == "csp":
         n_rows = cfg.m1
     else:
@@ -436,7 +436,21 @@ class _ClientState:
         self.gan_rng = np.random.default_rng(np.random.SeedSequence(
             (cfg.seed_noise, _STREAM_GAN, *self.domains)))
         self._queue: list[list] = []
+        # steps owed for the second half of an epoch; 0 again when stage 2
+        # starts, since a 0.5-epoch run always has an even number of rounds
         self._pending_steps = 0
+
+    def _span_steps(self) -> int:
+        e = self.cfg.epochs_per_round
+        s = self.steps_per_epoch
+        if e == 0.5:
+            if self._pending_steps:
+                k, self._pending_steps = self._pending_steps, 0
+            else:
+                k = math.ceil(s / 2)
+                self._pending_steps = s - k
+            return k
+        return int(e) * s
 
     # -- stage 1 ----------------------------------------------------------
     def _refill_queue(self):
@@ -446,25 +460,13 @@ class _ClientState:
             [self.samples[i] for i in order[lo:lo + b]]
             for lo in range(0, len(order), b)]
 
-    def _span_batches(self, epochs_per_round: float):
-        if epochs_per_round == 0.5:
-            if not self._queue:
-                self._refill_queue()
-                take = math.ceil(len(self._queue) / 2)
-            else:
-                take = len(self._queue)
-            for _ in range(take):
-                yield self._queue.pop(0)
-            return
-        for _ in range(int(epochs_per_round)):
-            self._refill_queue()
-            while self._queue:
-                yield self._queue.pop(0)
-
     def stage1_span(self, enc, table, classes, lineage) -> float:
         losses = []
         target = lineage["target_domain"]
-        for batch in self._span_batches(self.cfg.epochs_per_round):
+        for _ in range(self._span_steps()):
+            if not self._queue:
+                self._refill_queue()
+            batch = self._queue.pop(0)
             lineage["batch_samples"] += len(batch)
             lineage["target_samples"] += sum(
                 1 for d, _, _ in batch if d == target)
@@ -491,18 +493,6 @@ class _ClientState:
         self.gan = new_gan(cfg)
         self.opt_g = nc.AdamW(lr=cfg.lr_gan, weight_decay=cfg.weight_decay)
         self.opt_d = nc.AdamW(lr=cfg.lr_gan, weight_decay=cfg.weight_decay)
-
-    def _span_steps(self) -> int:
-        e = self.cfg.epochs_per_round
-        s = self.steps_per_epoch
-        if e == 0.5:
-            if self._pending_steps:
-                k, self._pending_steps = self._pending_steps, 0
-            else:
-                k = math.ceil(s / 2)
-                self._pending_steps = s - k
-            return k
-        return int(e) * s
 
     def stage2_span(self) -> tuple[float, float]:
         cfg = self.cfg

@@ -52,10 +52,6 @@ def set_forward_checks(enabled: bool) -> None:
     _forward_checks = bool(enabled)
 
 
-def forward_checks_enabled() -> bool:
-    return _forward_checks
-
-
 class Tensor:
     """A (rows, cols) float32 array with an optional gradient buffer."""
 

@@ -214,7 +214,8 @@ def stage1_cases(seed: int):
 
     def batch_loss(g, p):
         prompt_embs = nc.concat(g, [
-            encode_text(g, enc, dsp.assemble_prompt(g, p, 0, class_token(table, n)))
+            encode_text(g, enc, nc.row_mean(
+                g, dsp.assemble_prompt(g, p, 0, class_token(table, n))))
             for n in classes
         ])
         losses = []

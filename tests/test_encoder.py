@@ -59,22 +59,37 @@ def test_encode_image_rejects_wrong_dim():
         encode_image(enc, np.zeros((1, 17)))
 
 
+def pooled_text(g, enc, tokens):
+    """Text embedding of one prompt: mean-pool its rows, then encode."""
+    return encode_text(g, enc, nc.row_mean(g, tokens))
+
+
 def test_encode_text_pooling_identities(rng):
     enc = FrozenEncoders(feature_dim=16, d=8, seed=0)
     rows = rng.normal(0, 1, (5, 8)).astype(np.float32)
     g = nc.Graph()
-    out = encode_text(g, enc, nc.Tensor(rows))
+    out = pooled_text(g, enc, nc.Tensor(rows))
     assert np.allclose(np.linalg.norm(out.data), 1.0, atol=1e-6)
     # permutation invariance of mean pooling
     perm = rows[rng.permutation(5)]
-    out_p = encode_text(nc.Graph(), enc, nc.Tensor(perm))
+    out_p = pooled_text(nc.Graph(), enc, nc.Tensor(perm))
     assert np.abs(out.data - out_p.data).max() < 1e-6
     # single token equals its own pool
-    one = encode_text(nc.Graph(), enc, nc.Tensor(rows[:1]))
-    same = encode_text(nc.Graph(), enc, nc.Tensor(np.repeat(rows[:1], 3, axis=0)))
+    one = pooled_text(nc.Graph(), enc, nc.Tensor(rows[:1]))
+    same = pooled_text(nc.Graph(), enc, nc.Tensor(np.repeat(rows[:1], 3, axis=0)))
     assert np.abs(one.data - same.data).max() < 1e-6
     with pytest.raises(nc.ShapeError):
         encode_text(nc.Graph(), enc, nc.Tensor(np.zeros((1, 9))))
+
+
+def test_encode_text_rows_match_one_row_calls(rng):
+    enc = FrozenEncoders(feature_dim=16, d=8, seed=0)
+    pooled = rng.normal(0, 1, (6, 8)).astype(np.float32)
+    batch = encode_text(nc.Graph(), enc, nc.Tensor(pooled)).data
+    assert batch.shape == (6, 8)
+    for i in range(6):
+        one = encode_text(nc.Graph(), enc, nc.Tensor(pooled[i:i + 1])).data
+        np.testing.assert_array_equal(batch[i:i + 1], one)
 
 
 def test_encode_text_gradient_matches_fd(rng):
@@ -85,7 +100,7 @@ def test_encode_text_gradient_matches_fd(rng):
     def forward(tokens):
         g = nc.Graph()
         t = nc.Tensor(tokens, requires_grad=True)
-        emb = encode_text(g, enc, t)
+        emb = pooled_text(g, enc, t)
         loss = nc.cosine_sim(g, emb, nc.Tensor(target))
         return g, t, loss
 
@@ -100,7 +115,7 @@ def test_encoder_weights_are_frozen(rng):
     before = enc.checksum()
     g = nc.Graph()
     tokens = nc.Tensor(rng.normal(0, 1, (3, 8)).astype(np.float32), requires_grad=True)
-    emb = encode_text(g, enc, tokens)
+    emb = pooled_text(g, enc, tokens)
     loss = nc.matmul(g, emb, nc.Tensor(np.ones((8, 1), dtype=np.float32)))
     nc.backward(g, loss)
     for w in enc.weights():

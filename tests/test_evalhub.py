@@ -7,9 +7,9 @@ from fdglab import config as cf
 from fdglab import datagen as dg
 from fdglab import evalhub as ev
 from fdglab import fed
-from fdglab.dsp import DspParams, make_prompt_params
-from fdglab.encoder import FrozenEncoders, TokenTable, encode_image
-from fdglab.promptgan import GanParams
+from fdglab.dsp import DspParams, make_prompt_params, prompt_embeddings
+from fdglab.encoder import FrozenEncoders, TokenTable, class_token, encode_image
+from fdglab.promptgan import GanParams, generator_rows
 from fdglab import numcore as nc
 
 
@@ -111,6 +111,35 @@ def test_constant_generator_matches_wgm():
         b = predict(wgm, x)
         assert a.predicted == b.predicted
         np.testing.assert_allclose(a.probs, b.probs, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("mode", ["dsp", "wgm"])
+def test_scoring_matches_per_prompt_path(mode):
+    # the reference: each prompt text-encoded on its own through the tape
+    # path, one w @ x.T logit per (context block, class) pair
+    enc, table, prompt = tiny_parts()
+    classes = ["ant", "bee", "cat"]
+    gan = GanParams(n_rows=4, d_tok=8, d=8, z_dim=4, h=8, seed=0)
+    model = make_model(enc, table, classes, mode=mode, gan=gan,
+                       prompt=prompt, z_samples=3, z_seed=5)
+    tokens = [class_token(table, n) for n in classes]
+    rng = np.random.default_rng(7)
+    for _ in range(4):
+        emb = encode_image(enc, rng.normal(0, 2, 16).astype(np.float32))
+        if mode == "wgm":
+            contexts = ev.wgm_context_rows(prompt)[None]
+        else:
+            zs = ev._draw_z(model.z_policy, 3, 4, 5)
+            contexts = generator_rows(
+                nc.Graph(), gan, nc.Tensor(zs),
+                nc.Tensor(np.repeat(emb, 3, axis=0))).data.reshape(3, 4, 8)
+        ref = np.concatenate([
+            e.data for c in contexts
+            for e in prompt_embeddings(nc.Graph(), enc, [nc.Tensor(c)], tokens)])
+        np.testing.assert_array_equal(model._class_embeddings(contexts), ref)
+        logits = np.array([(w[None] @ emb.T).item() / model.tau for w in ref])
+        probs = ev._softmax(logits.reshape(len(contexts), 3).mean(axis=0))
+        np.testing.assert_array_equal(model.predict_from_emb(emb).probs, probs)
 
 
 def test_tau_rescales_but_argmax_invariant():
@@ -239,9 +268,9 @@ def test_evaluate_flags_parameter_mutation():
     model = ev.InferenceModel.from_trainer(trainer)
     inner = model.predict_from_emb
 
-    def dirty(emb, true_label=None):
+    def dirty(emb):
         model.prompt.v.data = model.prompt.v.data + 1.0
-        return inner(emb, true_label)
+        return inner(emb)
 
     model.predict_from_emb = dirty
     with pytest.raises(RuntimeError, match="mutated"):

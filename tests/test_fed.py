@@ -8,7 +8,8 @@ import pytest
 from fdglab import config as cf
 from fdglab import datagen as dg
 from fdglab import fed
-from fdglab.dsp import make_prompt_params
+from fdglab.dsp import make_prompt_params, template_context_rows
+from fdglab.encoder import TokenTable
 from fdglab.promptgan import GanParams
 
 
@@ -459,6 +460,12 @@ def test_gan_rows_for_mode():
     gan = fed.new_gan(cfg)
     assert (gan.d_tok, gan.d, gan.z_dim, gan.h, gan.seed) == (
         cfg.d_tok, cfg.d, cfg.z_dim, cfg.gan_hidden, cfg.seed_model)
+
+
+def test_hdp_gan_rows_match_template():
+    cfg = small_cfg(prompt_mode="hdp")
+    table = TokenTable(d_tok=cfg.d_tok, seed=cfg.seed_model)
+    assert fed.new_gan(cfg).n_rows == template_context_rows(table).shape[0]
 
 
 def test_named_and_apply_named():
