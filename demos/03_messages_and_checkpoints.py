@@ -7,7 +7,9 @@ parse time. Server state saved as a frame restores bit-exactly, so an
 evaluation resumed from a checkpoint matches the live model.
 """
 
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -46,14 +48,14 @@ trainer.run_all()
 ckpt = fed.ParamMessage(sender=fed.SERVER_SENDER,
                         round=trainer.round_index - 1,
                         entries=trainer.server_entries())
-path = fed.save_message(ckpt, "/tmp/fdglab_demo_final.msg")
-print(f"checkpoint: {sorted(ckpt.entries)[:4]} ... "
-      f"({len(ckpt.entries)} arrays) -> {path}")
-
 live = ev.evaluate(ev.InferenceModel.from_trainer(trainer), ds, 0)
 
 resumed = fed.FederatedTrainer(cfg, ds, target_domain=0)  # untrained scaffold
-resumed.apply_checkpoint(fed.load_message(path).entries)
+with tempfile.TemporaryDirectory() as tmp:
+    path = fed.save_message(ckpt, Path(tmp) / "final.msg")
+    print(f"checkpoint: {sorted(ckpt.entries)[:4]} ... "
+          f"({len(ckpt.entries)} arrays, {path.stat().st_size} bytes)")
+    resumed.apply_checkpoint(fed.load_message(path).entries)
 restored = ev.evaluate(ev.InferenceModel.from_trainer(resumed), ds, 0)
 
 print(f"live accuracy {live.accuracy:.3f} == restored accuracy "

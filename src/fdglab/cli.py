@@ -156,11 +156,10 @@ def cmd_train(args) -> int:
     with open(run_dir / "log.jsonl", "w") as fh:
         for entry in trainer.log:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
-    if trainer.server_entries():
-        save_message(ParamMessage(sender=SERVER_SENDER,
-                                  round=max(trainer.round_index - 1, 0),
-                                  entries=trainer.server_entries()),
-                     run_dir / "final.msg")
+    save_message(ParamMessage(sender=SERVER_SENDER,
+                              round=max(trainer.round_index - 1, 0),
+                              entries=trainer.server_entries()),
+                 run_dir / "final.msg")
     stages = {e["stage"] for e in trainer.log}
     print(f"trained {cfg.prompt_mode} for {trainer.agg_events} rounds "
           f"(stages {sorted(stages)}) -> {run_dir}")

@@ -1,5 +1,5 @@
 """Synthetic multi-domain datasets with controllable shift, plus the
-on-disk manifest/blob format and import of precomputed embedding dumps.
+on-disk manifest/blob format.
 
 Samples are class-conditional Gaussians pushed through a per-domain
 affine transform (rotation + shift + scale). All domains of a dataset
@@ -11,7 +11,8 @@ out-of-domain gap at moderate strengths.
 
 On-disk format: a manifest.json naming per-domain feature blobs (u32 row
 count, u32 dim, then row-major little-endian f32) with u16 label
-sidecars, all checksummed.
+sidecars, all checksummed. load_dataset reads any directory in this
+format, whether save_dataset or another program wrote it.
 """
 
 from __future__ import annotations
@@ -131,10 +132,6 @@ class DomainDataset:
     @property
     def n_samples(self) -> int:
         return self.features.shape[0]
-
-    @property
-    def k(self) -> int:
-        return len(self.classes)
 
     def domain_indices(self, domain_id: int) -> np.ndarray:
         return np.nonzero(self.domain_ids == domain_id)[0]
@@ -367,20 +364,6 @@ def load_dataset(path) -> DomainDataset:
         class_ids=np.concatenate(labs),
         provenance=manifest.get("provenance", {}),
     )
-
-
-def import_embeddings(manifest_path) -> DomainDataset:
-    """Consume an externally produced embedding dump in the manifest format.
-
-    Same reader as load_dataset (dims must agree across domains; the
-    per-domain check names the offending domain), but provenance records
-    the import path.
-    """
-    path = Path(manifest_path)
-    root = path.parent if path.name == "manifest.json" else path
-    ds = load_dataset(root)
-    ds.provenance = {"imported": {"path": str(path)}}
-    return ds
 
 
 def nearest_centroid_accuracy(train_x: np.ndarray, train_y: np.ndarray,

@@ -51,11 +51,6 @@ class DspParams:
         if self.m1 == 0 and self.m2 == 0:
             raise ValueError("prompt needs at least one context row")
 
-    def trainables(self) -> list[nc.Tensor]:
-        out = [self.v] if self.v is not None else []
-        out.extend(self.u[d] for d in sorted(self.u))
-        return out
-
     def named(self) -> dict[str, nc.Tensor]:
         """Aggregation names: 'v' and 'u/<domain_id>'."""
         out = {}
@@ -105,12 +100,6 @@ def make_prompt_params(mode: str, domains, m1: int = 4, m2: int = 4,
                 rng_u.normal(0.0, INIT_STD, (m2, d_tok)).astype(np.float32),
                 requires_grad=True)
     return DspParams(m1=m1, m2=m2, d_tok=d_tok, v=v, u=u)
-
-
-def assemble_prompt(g: nc.Graph, p: DspParams, domain: int,
-                    cls: nc.Tensor) -> nc.Tensor:
-    """Row stack [v; u^domain; cls] (skipping absent parts)."""
-    return nc.concat(g, [*p.context_parts(domain), cls], axis=0)
 
 
 def template_context_rows(table: TokenTable) -> np.ndarray:

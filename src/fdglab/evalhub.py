@@ -204,6 +204,14 @@ class InferenceModel:
         # materializes the class rows, so the table digest is stable under use
         self._class_rows = np.concatenate(
             [self.table.row(n) for n in self.classes]).astype(np.float64)
+        # Every image shares the same seeded z draws, which keeps
+        # prediction a pure function of its inputs and makes per-image
+        # evaluation order irrelevant.
+        if self.mode == "wgm":
+            self._wgm_contexts = wgm_context_rows(self.prompt)[None]
+        elif self.gan is not None:
+            self._zs = _draw_z(self.z_policy, self.z_samples, self.gan.z_dim,
+                               self.z_seed)
 
     @classmethod
     def from_trainer(cls, trainer: FederatedTrainer,
@@ -242,16 +250,13 @@ class InferenceModel:
     def predict_from_emb(self, image_emb: np.ndarray) -> Prediction:
         """Class probabilities for one (1, d) unit-norm image embedding."""
         if self.mode == "wgm":
-            contexts = wgm_context_rows(self.prompt)[None]
+            contexts = self._wgm_contexts
         else:
             gan = self.gan
             if gan is None:
                 raise ValueError(
                     "no trained generator; run stage 2 or use wgm")
-            # Every image shares the same seeded z draws, which keeps
-            # prediction a pure function of its inputs and makes per-image
-            # evaluation order irrelevant.
-            zs = _draw_z(self.z_policy, self.z_samples, gan.z_dim, self.z_seed)
+            zs = self._zs
             reps = np.repeat(image_emb.astype(np.float32), zs.shape[0], axis=0)
             contexts = generator_rows(
                 nc.Graph(), gan, nc.Tensor(zs), nc.Tensor(reps)).data.reshape(

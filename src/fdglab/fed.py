@@ -1,13 +1,17 @@
 """Federation fabric: partitioning, parameter messages, aggregation, rounds.
 
 Domains are dealt to clients with a configurable overlap ratio (a shared
-domain's data is held in full by two clients). Each round every client
-trains locally and uploads a ParamMessage; the server averages entry-wise
-and redistributes. Prompt-context entries are smoothed with an
-exponential moving average over the previously distributed values while
-generator/discriminator entries pass through as the plain average;
-routing is instrumented so tests can assert no name ever takes the wrong
-path.
+domain's data is held in full by two clients). Both training stages run
+the same round loop (FederatedTrainer._rounds): every client trains
+locally and uploads its holder's parameters as a ParamMessage, and the
+server averages entry-wise and writes the result back into its own and
+every client's holder. A holder is the object whose named() gives a
+stage's parameters: the DspParams prompt contexts in stage 1, the
+GanParams generator and discriminator in stage 2. Prompt-context
+entries are smoothed with an exponential moving average over the
+previously distributed values while generator/discriminator entries
+pass through as the plain average; routing is instrumented so tests can
+assert no name ever takes the wrong path.
 
 ParamMessage doubles as the on-disk checkpoint format. Wire layout, all
 integers little-endian: magic "FDSP", format version u16, round u32,
@@ -308,14 +312,13 @@ def fedavg(msgs) -> dict[str, np.ndarray]:
     return out
 
 
-_ROUTES = (("v", "momentum"), ("u/", "momentum"), ("G/", "bypass"),
-           ("D/", "bypass"))
+_ROUTES = (("u/", "momentum"), ("G/", "bypass"), ("D/", "bypass"))
 
 
 def _route(name: str) -> tuple[str, str]:
     if name == "v":
         return "v", "momentum"
-    for prefix, path in _ROUTES[1:]:
+    for prefix, path in _ROUTES:
         if name.startswith(prefix):
             return prefix, path
     raise FedProtocolError(f"unroutable parameter name {name!r}")
@@ -475,10 +478,6 @@ class _ClientState:
                 self.cfg.tau))
         return float(np.mean(losses))
 
-    def stage1_message(self, round_index: int) -> ParamMessage:
-        entries = {n: t.data for n, t in self.prompt.named().items()}
-        return ParamMessage(sender=self.id, round=round_index, entries=entries)
-
     # -- stage 2 ----------------------------------------------------------
     def start_stage2(self, table):
         cfg = self.cfg
@@ -506,10 +505,6 @@ class _ClientState:
             d_losses.append(d_l)
             g_losses.append(g_l)
         return float(np.mean(d_losses)), float(np.mean(g_losses))
-
-    def stage2_message(self, round_index: int) -> ParamMessage:
-        entries = {n: t.data for n, t in self.gan.named().items()}
-        return ParamMessage(sender=self.id, round=round_index, entries=entries)
 
 
 class FederatedTrainer:
@@ -565,45 +560,47 @@ class FederatedTrainer:
         self.agg_events = 0
         self.log: list[dict] = []
 
-    def _one_round(self, stage: int, span, message) -> dict[str, np.ndarray]:
-        msgs, losses = [], {}
-        for client in self.clients:
-            try:
-                losses[client.id] = span(client)
-                msgs.append(message(client, self.round_index))
-            except FedError:
-                raise
-            except Exception as exc:
-                raise RoundError(
-                    f"client {client.id} failed in round "
-                    f"{self.round_index}: {exc}") from exc
-        dist = momentum_aggregate(fedavg(msgs), self.history)
-        entry = {
-            "stage": stage, "round": self.round_index,
-            "client_losses": {str(c): l for c, l in sorted(losses.items())},
-            "agg_norms": {n: float(np.linalg.norm(v))
-                          for n, v in sorted(dist.items())},
-        }
-        self.log.append(entry)
-        self.round_index += 1
-        self.agg_events += 1
-        return dist
+    def _rounds(self, stage: int, span, holder, server, on_round) -> None:
+        """The federated round, n_rounds times: every client runs span and
+        uploads holder(client)'s parameters; the server averages, blends
+        and writes the result into server and every client's holder."""
+        for _ in range(n_rounds(self.cfg)):
+            msgs, losses = [], {}
+            for client in self.clients:
+                try:
+                    losses[client.id] = span(client)
+                    msgs.append(ParamMessage(
+                        sender=client.id, round=self.round_index,
+                        entries={n: t.data
+                                 for n, t in holder(client).named().items()}))
+                except FedError:
+                    raise
+                except Exception as exc:
+                    raise RoundError(
+                        f"client {client.id} failed in round "
+                        f"{self.round_index}: {exc}") from exc
+            dist = momentum_aggregate(fedavg(msgs), self.history)
+            self.log.append({
+                "stage": stage, "round": self.round_index,
+                "client_losses": {str(c): l for c, l in sorted(losses.items())},
+                "agg_norms": {n: float(np.linalg.norm(v))
+                              for n, v in sorted(dist.items())},
+            })
+            self.round_index += 1
+            self.agg_events += 1
+            for target in (server, *(holder(c) for c in self.clients)):
+                apply_named(target.named(), dist)
+            if on_round is not None:
+                on_round(self, dist)
 
     def run_stage1(self, on_round=None) -> None:
         """Soft-prompt rounds; a no-op under hdp (nothing trainable)."""
         if self.cfg.prompt_mode == "hdp":
             return
-        for _ in range(n_rounds(self.cfg)):
-            dist = self._one_round(
-                1,
-                lambda c: c.stage1_span(self.enc, self.table, self.classes,
-                                        self.lineage),
-                lambda c, r: c.stage1_message(r))
-            apply_named(self.server_prompt.named(), dist)
-            for client in self.clients:
-                apply_named(client.prompt.named(), dist)
-            if on_round is not None:
-                on_round(self, dist)
+        self._rounds(
+            1, lambda c: c.stage1_span(self.enc, self.table, self.classes,
+                                       self.lineage),
+            lambda c: c.prompt, self.server_prompt, on_round)
 
     def run_stage2(self, on_round=None) -> None:
         """Conditional-GAN rounds; a no-op under wgm (no generator)."""
@@ -611,42 +608,33 @@ class FederatedTrainer:
             return
         for client in self.clients:
             client.start_stage2(self.table)
-            for d in client.bank.domains:
-                if d not in self.lineage["bank_domains"]:
-                    self.lineage["bank_domains"].append(d)
-        self.lineage["bank_domains"].sort()
+        self.lineage["bank_domains"] = sorted(
+            {d for c in self.clients for d in c.bank.domains})
         self.server_gan = new_gan(self.cfg)
-        for _ in range(n_rounds(self.cfg)):
-            dist = self._one_round(
-                2, lambda c: c.stage2_span(), lambda c, r: c.stage2_message(r))
-            apply_named(self.server_gan.named(), dist)
-            for client in self.clients:
-                apply_named(client.gan.named(), dist)
-            if on_round is not None:
-                on_round(self, dist)
+        self._rounds(2, lambda c: c.stage2_span(), lambda c: c.gan,
+                     self.server_gan, on_round)
 
     def run_all(self, on_round=None) -> None:
         self.run_stage1(on_round)
         self.run_stage2(on_round)
 
+    def _server_holders(self) -> list:
+        return [h for h in (self.server_prompt, self.server_gan)
+                if h is not None]
+
     def server_entries(self) -> dict[str, np.ndarray]:
         """Current server state as checkpoint-ready named arrays."""
-        out: dict[str, np.ndarray] = {}
-        if self.server_prompt is not None:
-            out.update({n: t.data.copy()
-                        for n, t in self.server_prompt.named().items()})
-        if self.server_gan is not None:
-            out.update({n: t.data.copy()
-                        for n, t in self.server_gan.named().items()})
-        return out
+        return {n: t.data.copy() for h in self._server_holders()
+                for n, t in h.named().items()}
 
     def apply_checkpoint(self, entries: dict[str, np.ndarray]) -> None:
-        """Restore server (and client) parameters from checkpoint entries."""
-        if self.server_prompt is not None:
-            apply_named(self.server_prompt.named(), entries)
-            for client in self.clients:
+        """Restore server (and client prompt) parameters from checkpoint
+        entries; a checkpoint with generator entries creates the server GAN."""
+        if (self.server_gan is None
+                and any(n.startswith(("G/", "D/")) for n in entries)):
+            self.server_gan = new_gan(self.cfg)
+        for h in self._server_holders():
+            apply_named(h.named(), entries)
+        for client in self.clients:
+            if client.prompt is not None:
                 apply_named(client.prompt.named(), entries)
-        if any(n.startswith(("G/", "D/")) for n in entries):
-            if self.server_gan is None:
-                self.server_gan = new_gan(self.cfg)
-            apply_named(self.server_gan.named(), entries)

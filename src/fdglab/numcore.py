@@ -86,12 +86,6 @@ class Tensor:
             raise ShapeError(f"item() needs a 1x1 tensor, got {self.shape}")
         return float(self.data[0, 0])
 
-    def copy(self) -> "Tensor":
-        out = Tensor(self.data.copy(), requires_grad=self.requires_grad)
-        if self.grad is not None:
-            out.grad = self.grad.copy()
-        return out
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -447,7 +441,6 @@ class _AdamBase:
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
-        self.step_count = 0
         self._slots: dict[int, _Slot] = {}
 
     def step(self, params) -> None:
@@ -455,7 +448,6 @@ class _AdamBase:
         for p in params:
             if p.grad is None:
                 raise OptimizerError("optimizer step on a parameter with no gradient")
-        self.step_count += 1
         for p in params:
             slot = self._slots.get(id(p))
             if slot is None:

@@ -215,7 +215,7 @@ def stage1_cases(seed: int):
     def batch_loss(g, p):
         prompt_embs = nc.concat(g, [
             encode_text(g, enc, nc.row_mean(
-                g, dsp.assemble_prompt(g, p, 0, class_token(table, n))))
+                g, nc.concat(g, [*p.context_parts(0), class_token(table, n)])))
             for n in classes
         ])
         losses = []

@@ -25,7 +25,7 @@ def setup(rng):
 def test_make_params_modes():
     p = dsp.make_prompt_params("dsp", domains=[1, 0], m1=4, m2=4, d_tok=8, seed=0)
     assert p.v.shape == (4, 8) and set(p.u) == {0, 1}
-    assert all(t.requires_grad for t in p.trainables())
+    assert all(t.requires_grad for t in p.named().values())
     c = dsp.make_prompt_params("csp", domains=[0, 1], m1=4, m2=4, d_tok=8, seed=0)
     assert c.m2 == 0 and c.u == {}
     w = dsp.make_prompt_params("wgm", domains=[0], d_tok=8, seed=0)
@@ -45,6 +45,11 @@ def test_make_params_deterministic():
     assert abs(a.v.data.std() - dsp.INIT_STD) < dsp.INIT_STD  # std 0.02 scale
 
 
+def prompt_rows(p, domain, cls):
+    # the stage-1 prompt [v; u^domain; cls] as dsp.prompt_embeddings stacks it
+    return nc.concat(nc.Graph(), [*p.context_parts(domain), cls])
+
+
 def test_assemble_prompt_row_order():
     a = np.full((1, 4), 1.0, dtype=np.float32)
     b = np.full((1, 4), 2.0, dtype=np.float32)
@@ -52,18 +57,23 @@ def test_assemble_prompt_row_order():
     p = dsp.DspParams(m1=1, m2=1, d_tok=4,
                       v=nc.Tensor(a, requires_grad=True),
                       u={0: nc.Tensor(b, requires_grad=True)})
-    out = dsp.assemble_prompt(nc.Graph(), p, 0, nc.Tensor(c))
+    out = prompt_rows(p, 0, nc.Tensor(c))
     assert np.array_equal(out.data, np.concatenate([a, b, c], axis=0))
+    assert np.array_equal(p.context_rows(0), np.concatenate([a, b], axis=0))
     with pytest.raises(KeyError):
-        dsp.assemble_prompt(nc.Graph(), p, 7, nc.Tensor(c))
+        p.context_parts(7)
+    with pytest.raises(KeyError):
+        p.context_rows(7)
 
 
 def test_assemble_prompt_shapes():
     p = dsp.make_prompt_params("dsp", domains=[0], m1=4, m2=4, d_tok=32, seed=0)
     cls = nc.Tensor(np.zeros((1, 32), dtype=np.float32))
-    assert dsp.assemble_prompt(nc.Graph(), p, 0, cls).shape == (9, 32)
+    assert prompt_rows(p, 0, cls).shape == (9, 32)
+    assert p.context_rows(0).shape == (8, 32)
     c = dsp.make_prompt_params("csp", domains=[0], m1=4, d_tok=32, seed=0)
-    assert dsp.assemble_prompt(nc.Graph(), c, 0, cls).shape == (5, 32)
+    assert prompt_rows(c, 0, cls).shape == (5, 32)
+    assert c.context_rows(0).shape == (4, 32)
 
 
 def test_classify_contracts(setup):

@@ -429,8 +429,35 @@ def test_trainer_deterministic():
         assert runs[0][0][name].tobytes() == runs[1][0][name].tobytes()
 
 
-def test_trainer_checkpoint_restore(tmp_path):
-    cfg = small_cfg()
+@pytest.mark.parametrize("mode", ["dsp", "csp", "hdp", "wgm"])
+def test_trainer_on_round_sees_distributed_state(mode):
+    # on_round runs after the send-back: the server and every client
+    # already hold the round's distributed values
+    cfg = small_cfg(prompt_mode=mode)
+    tr = fed.FederatedTrainer(cfg, small_ds(cfg), target_domain=2)
+    stages = []
+
+    def on_round(trainer, dist):
+        assert trainer is tr
+        stage = trainer.log[-1]["stage"]
+        stages.append(stage)
+        if stage == 1:
+            server, clients = tr.server_prompt, [c.prompt for c in tr.clients]
+        else:
+            server, clients = tr.server_gan, [c.gan for c in tr.clients]
+        assert set(server.named()) == set(dist)
+        for holder in (server, *clients):
+            for name, t in holder.named().items():
+                assert t.data.tobytes() == dist[name].tobytes(), name
+
+    tr.run_all(on_round)
+    assert stages == [e["stage"] for e in tr.log]
+    assert len(stages) == tr.agg_events == (2 if mode in ("hdp", "wgm") else 4)
+
+
+@pytest.mark.parametrize("mode", ["dsp", "csp", "hdp", "wgm"])
+def test_trainer_checkpoint_restore(tmp_path, mode):
+    cfg = small_cfg(prompt_mode=mode)
     ds = small_ds(cfg)
     tr = fed.FederatedTrainer(cfg, ds, target_domain=2)
     tr.run_all()
@@ -442,6 +469,11 @@ def test_trainer_checkpoint_restore(tmp_path):
     assert set(load_entries) == set(tr.server_entries())
     for name, arr in tr.server_entries().items():
         assert fresh.server_entries()[name].tobytes() == arr.tobytes()
+    assert (fresh.server_gan is None) == (mode == "wgm")
+    for old, new in zip(tr.clients, fresh.clients):
+        if old.prompt is not None:
+            for name, t in old.prompt.named().items():
+                assert new.prompt.named()[name].data.tobytes() == t.data.tobytes()
 
 
 def test_trainer_target_domain_validation():
