@@ -364,13 +364,3 @@ def load_dataset(path) -> DomainDataset:
         class_ids=np.concatenate(labs),
         provenance=manifest.get("provenance", {}),
     )
-
-
-def nearest_centroid_accuracy(train_x: np.ndarray, train_y: np.ndarray,
-                              test_x: np.ndarray, test_y: np.ndarray) -> float:
-    """Accuracy of a nearest-class-centroid classifier; shift oracle."""
-    classes = np.unique(train_y)
-    cents = np.stack([train_x[train_y == c].mean(axis=0) for c in classes])
-    d2 = ((test_x[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
-    pred = classes[np.argmin(d2, axis=1)]
-    return float((pred == test_y).mean())

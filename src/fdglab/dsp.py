@@ -7,6 +7,12 @@ unit-norm image embedding against each class prompt's text embedding by
 cosine similarity over temperature tau and minimizes cross entropy of
 those scores, updating only v and the touched u rows.
 
+One training step builds, per domain in the batch, the K x d stack of its
+class-prompt embeddings (one ``encode_text`` call), then scores the whole
+batch with one cosine, one scale, one cross-entropy and one mean node;
+each sample picks its domain's stack. The result is bit-identical to
+scoring every sample on its own.
+
 Prompt variants:
   dsp  full prompt [v; u^d; cls], two-stage pipeline
   csp  shared context only [v; cls], no domain-specific rows
@@ -108,24 +114,31 @@ def template_context_rows(table: TokenTable) -> np.ndarray:
     return np.concatenate([table.row(w) for w in HDP_WORDS], axis=0)
 
 
-def similarity_logits(g: nc.Graph, prompt_embs: nc.Tensor,
-                      image_emb: nc.Tensor, tau: float) -> nc.Tensor:
-    """1 x K logits: cosine(row i of the K x d prompt_embs, image_emb) / tau."""
+def similarity_logits(g: nc.Graph, prompt_embs, image_embs: nc.Tensor,
+                      tau: float, pick=None) -> nc.Tensor:
+    """B x K logits: cosine(row k of stack pick[i], image row i) / tau.
+
+    prompt_embs is one K x d stack or a list of them (see
+    ``nc.cosine_sim``); image_embs is B x d.
+    """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    return nc.scale(g, nc.cosine_sim(g, prompt_embs, image_emb), 1.0 / tau)
+    return nc.scale(g, nc.cosine_sim(g, prompt_embs, image_embs, pick), 1.0 / tau)
 
 
 def prompt_embeddings(g: nc.Graph, enc: FrozenEncoders, context,
-                      class_tokens) -> list[nc.Tensor]:
-    """Text embedding of the mean-pooled [context; cls] for each class token.
+                      class_tokens) -> nc.Tensor:
+    """K x d text embeddings of the mean-pooled [context; cls_k], one row
+    per class token.
 
     Stage 1 only: context is a client's [v, u^d] row blocks, and the
-    gradient reaches them through the tape. Inference pools its prompts
-    outside the tape (``evalhub.InferenceModel``).
+    gradient reaches them through the tape. Each prompt is pooled on its
+    own (``nc.row_mean``) and the K pooled rows go through one
+    ``encode_text`` call. Inference pools its prompts outside the tape
+    (``evalhub.InferenceModel``).
     """
-    return [encode_text(g, enc, nc.row_mean(g, nc.concat(g, [*context, cls])))
-            for cls in class_tokens]
+    pooled = [nc.row_mean(g, nc.concat(g, [*context, cls])) for cls in class_tokens]
+    return encode_text(g, enc, nc.concat(g, pooled))
 
 
 def dsp_train_step(p: DspParams, batch, enc: FrozenEncoders, table: TokenTable,
@@ -134,24 +147,25 @@ def dsp_train_step(p: DspParams, batch, enc: FrozenEncoders, table: TokenTable,
 
     batch: sequence of (domain_id, class_id, image_embedding) with
     unit-norm embeddings. Returns the pre-step mean cross entropy.
-    Prompt embeddings are computed and stacked once per domain present in
-    the batch and shared across its samples on a single tape.
+    Each domain present in the batch gets one K x d prompt-embedding
+    stack; the whole batch is then scored by one cosine, one scale, one
+    cross-entropy and one mean node on a single tape.
     """
     batch = list(batch)
     if not batch:
         raise ValueError("empty batch")
     g = nc.Graph()
     domains = sorted({d for d, _, _ in batch})
+    slot = {d: i for i, d in enumerate(domains)}
     tokens = [class_token(table, name) for name in classes]
-    embs_by_domain = {
-        d: nc.concat(g, prompt_embeddings(g, enc, p.context_parts(d), tokens))
-        for d in domains}
-    losses = []
-    for domain, label, emb in batch:
-        img = nc.Tensor(np.asarray(emb, dtype=np.float32).reshape(1, -1))
-        logits = similarity_logits(g, embs_by_domain[domain], img, tau)
-        losses.append(nc.softmax_cross_entropy(g, logits, int(label)))
-    total = nc.row_mean(g, nc.concat(g, losses, axis=0))
+    stacks = [prompt_embeddings(g, enc, p.context_parts(d), tokens)
+              for d in domains]
+    imgs = nc.Tensor(np.array([e for _, _, e in batch], dtype=np.float32)
+                     .reshape(len(batch), -1))
+    logits = similarity_logits(g, stacks, imgs, tau,
+                               pick=[slot[d] for d, _, _ in batch])
+    losses = nc.softmax_cross_entropy(g, logits, [y for _, y, _ in batch])
+    total = nc.row_mean(g, losses)
     params = ([p.v] if p.v is not None else []) + [
         p.u[d] for d in domains if d in p.u]
     nc.reset_grads(params)

@@ -4,12 +4,16 @@ The op set is deliberately frozen to what the rest of the package needs:
 matmul, add, scale, concat, reshape, row_mean, tanh, relu, sigmoid,
 l2_normalize, cosine_sim, softmax_cross_entropy, bce_with_logits, plus
 Adam/AdamW optimizers. No broadcasting beyond a row-vector bias in add,
-no rank-3 tensors, no GPU.
+no rank-3 tensors, no GPU. The two scoring ops take a whole batch in one
+node: cosine_sim scores B rows, each against the K rows of one of several
+K x d stacks (``pick``), and softmax_cross_entropy returns B per-row
+losses.
 
 Numerics contract: values are stored as float32, reductions (dots, sums,
 matmul) accumulate in float64 before rounding back, and every reduction
 uses a fixed, input-independent evaluation order, so repeated runs on one
-platform are bit-identical.
+platform are bit-identical. A batched cosine_sim or softmax_cross_entropy
+node gives the same bits as one node per row.
 
 Gradients accumulate into ``Tensor.grad`` across backward calls; the
 caller resets them (see ``reset_grads``).
@@ -17,7 +21,6 @@ caller resets them (see ``reset_grads``).
 
 from __future__ import annotations
 
-import math
 import os
 
 import numpy as np
@@ -44,12 +47,6 @@ class OptimizerError(RuntimeError):
 
 
 _forward_checks = os.environ.get("FDGLAB_CHECKS", "0") not in ("", "0")
-
-
-def set_forward_checks(enabled: bool) -> None:
-    """Toggle per-op NaN/Inf assertions (off by default; tests turn it on)."""
-    global _forward_checks
-    _forward_checks = bool(enabled)
 
 
 class Tensor:
@@ -331,55 +328,91 @@ def l2_normalize(g: Graph, a: Tensor) -> Tensor:
     return _finish(g, out, (a,), vjp)
 
 
-def cosine_sim(g: Graph, a: Tensor, b: Tensor) -> Tensor:
-    """Cosine similarity of each row of a (R x d) with the 1 x d vector b,
-    as a 1 x R tensor in [-1, 1]."""
-    if b.rows != 1 or a.cols != b.cols:
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot products of matching (..., d) rows, each its own 1 x d by d x 1
+    product, so every entry rounds exactly as a lone 1-d ``r @ s`` does
+    (one GEMM over the rows rounds differently)."""
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+
+
+def cosine_sim(g: Graph, a, b: Tensor, pick=None) -> Tensor:
+    """B x K cosines: entry (i, k) is the cosine of row k of stack
+    ``a[pick[i]]`` with row i of the B x d tensor b, in [-1, 1].
+
+    ``a`` is one K x d stack (pick defaults to all zeros) or a list of
+    equal-shape stacks. Each entry rounds exactly as a lone pair would.
+    A stack's float32 gradient adds its samples' parts in reverse batch
+    order, the order the tape adds the gradients of separate nodes.
+    """
+    stacks = [a] if isinstance(a, Tensor) else list(a)
+    if not stacks or any(s.shape != stacks[0].shape for s in stacks):
         raise ShapeError(
-            f"cosine_sim needs R x d rows and a 1 x d vector, got {a.shape}, {b.shape}")
-    a64 = a.data.astype(np.float64)
-    b64 = b.data.astype(np.float64).ravel()
-    # one 1-d dot per row, so row i sums exactly as a lone pair would
-    na = np.sqrt([r @ r for r in a64])
-    nb = math.sqrt(b64 @ b64)
-    if (na < 1e-12).any() or nb < 1e-12:
+            f"cosine_sim needs equal-shape stacks, got {[s.shape for s in stacks]}")
+    if stacks[0].cols != b.cols:
+        raise ShapeError(
+            f"cosine_sim: stack rows {stacks[0].shape} and b {b.shape} disagree")
+    n = b.rows
+    pick = np.zeros(n, dtype=np.intp) if pick is None else np.asarray(pick, np.intp)
+    if pick.shape != (n,):
+        raise ShapeError(f"cosine_sim: pick of shape {pick.shape} for {n} rows of b")
+    if ((pick < 0) | (pick >= len(stacks))).any():
+        raise ShapeError(f"cosine_sim: pick out of range for {len(stacks)} stacks")
+    a64 = np.stack([s.data for s in stacks]).astype(np.float64)
+    b64 = b.data.astype(np.float64)
+    na_all = np.sqrt(_row_dots(a64, a64))
+    nb = np.sqrt(_row_dots(b64, b64))[:, None]
+    if (na_all < 1e-12).any() or (nb < 1e-12).any():
         raise DegenerateInputError("cosine_sim: zero-norm input")
-    cos = np.clip(np.array([r @ b64 for r in a64]) / (na * nb), -1.0, 1.0)
-    out = Tensor(cos, requires_grad=a.requires_grad or b.requires_grad)
-    na, cos = na[:, None], cos[:, None]
+    a_sel, na = a64[pick], na_all[pick]
+    cos = np.clip(_row_dots(a_sel, b64[:, None, :]) / (na * nb), -1.0, 1.0)
+    out = Tensor(cos, requires_grad=any(s.requires_grad for s in stacks)
+                 or b.requires_grad)
+    # (B, K, 1) and (B, 1, d) views for the per-row vjp chain
+    cos, na, nb, b3 = cos[:, :, None], na[:, :, None], nb[:, :, None], b64[:, None, :]
 
     def vjp(gout):
-        s = gout.astype(np.float64).reshape(-1, 1)
-        ga = gb = None
-        if a.requires_grad:
-            ga = (s * (b64 / (na * nb) - cos * a64 / (na * na))).astype(np.float32)
+        s = gout.astype(np.float64)[:, :, None]
+        grads = [None] * len(stacks)
+        if any(st.requires_grad for st in stacks):
+            ga = (s * (b3 / (na * nb) - cos * a_sel / (na * na))).astype(np.float32)
+            for j, st in enumerate(stacks):
+                rows = np.flatnonzero(pick == j)
+                if st.requires_grad and rows.size:
+                    # sequential float32 sum, last sample first
+                    grads[j] = np.add.reduce(ga[rows[::-1]], axis=0)
+        gb = None
         if b.requires_grad:
-            per_row = s * (a64 / (na * nb) - cos * b64 / (nb * nb))
-            gb = per_row.sum(axis=0, keepdims=True).astype(np.float32)
-        return ga, gb
+            per_row = s * (a_sel / (na * nb) - cos * b3 / (nb * nb))
+            gb = per_row.sum(axis=1).astype(np.float32)
+        return (*grads, gb)
 
-    return _finish(g, out, (a, b), vjp)
+    return _finish(g, out, (*stacks, b), vjp)
 
 
-def softmax_cross_entropy(g: Graph, logits: Tensor, label: int) -> Tensor:
-    """-log softmax(logits)[label] for a 1 x K logit row."""
-    if logits.rows != 1:
-        raise ShapeError(f"softmax_cross_entropy expects a 1xK row, got {logits.shape}")
-    k = logits.cols
-    if not 0 <= label < k:
-        raise IndexError(f"label {label} out of range for {k} classes")
-    x = logits.data.astype(np.float64).ravel()
-    m = x.max()
+def softmax_cross_entropy(g: Graph, logits: Tensor, labels) -> Tensor:
+    """Per-row -log softmax(logits[i])[labels[i]] for B x K logits, as a
+    B x 1 column in batch order. ``labels`` is a sequence of B class ids,
+    or one int for a single row."""
+    labels = np.asarray(labels, dtype=np.intp).reshape(-1)
+    n, k = logits.shape
+    if labels.shape != (n,):
+        raise ShapeError(
+            f"softmax_cross_entropy: {labels.size} labels for {n} logit rows")
+    if ((labels < 0) | (labels >= k)).any():
+        raise IndexError(f"labels {labels.tolist()} out of range for {k} classes")
+    x = logits.data.astype(np.float64)
+    rows = np.arange(n)
+    m = x.max(axis=1, keepdims=True)
     exps = np.exp(x - m)
-    z = exps.sum()
-    loss = (m + np.log(z)) - x[label]
-    out = Tensor(np.array([[loss]]), requires_grad=logits.requires_grad)
+    z = exps.sum(axis=1, keepdims=True)
+    loss = (m + np.log(z)) - x[rows, labels][:, None]
+    out = Tensor(loss, requires_grad=logits.requires_grad)
     probs = exps / z
 
     def vjp(gout):
         grad = probs.copy()
-        grad[label] -= 1.0
-        return ((float(gout[0, 0]) * grad).astype(np.float32).reshape(1, -1),)
+        grad[rows, labels] -= 1.0
+        return ((gout.astype(np.float64) * grad).astype(np.float32),)
 
     return _finish(g, out, (logits,), vjp)
 

@@ -83,12 +83,6 @@ class GanParams:
             out[f"D/l{i}.b"] = b
         return out
 
-    def checksum_g(self) -> bytes:
-        return b"".join(t.data.tobytes() for t in self.g_params())
-
-    def checksum_d(self) -> bytes:
-        return b"".join(t.data.tobytes() for t in self.d_params())
-
 
 def _mlp(g: nc.Graph, x: nc.Tensor, layers, hidden_act) -> nc.Tensor:
     last = len(layers) - 1

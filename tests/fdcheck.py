@@ -169,11 +169,32 @@ def all_cases(seed: int):
     cases.append(("cosine_sim/right", cb.copy(),
                   lambda g, p, ca=ca: nc.cosine_sim(g, nc.Tensor(ca), p)))
 
+    # batched cosine_sim: two stacks, a mixed pick, grad wrt each stack and b
+    s0, s1 = _unit_plus(rng, 3, 8), _unit_plus(rng, 3, 8)
+    rows0 = _unit_plus(rng, 4, 8)
+    pick = [1, 0, 1, 1]
+    u, v = weights(4, 3)
+    cases.append(("cosine_sim/stack0", s0.copy(),
+                  lambda g, p, s1=s1, rows0=rows0, u=u, v=v: _reduce(g, nc.cosine_sim(
+                      g, [p, nc.Tensor(s1)], nc.Tensor(rows0), pick), u, v)))
+    cases.append(("cosine_sim/stack1", s1.copy(),
+                  lambda g, p, s0=s0, rows0=rows0, u=u, v=v: _reduce(g, nc.cosine_sim(
+                      g, [nc.Tensor(s0), p], nc.Tensor(rows0), pick), u, v)))
+    cases.append(("cosine_sim/rows", rows0.copy(),
+                  lambda g, p, s0=s0, s1=s1, u=u, v=v: _reduce(g, nc.cosine_sim(
+                      g, [nc.Tensor(s0), nc.Tensor(s1)], p, pick), u, v)))
+
     # losses
     logits0 = rng.normal(0.0, 2.0, (1, 6)).astype(np.float32)
     label = int(rng.integers(0, 6))
     cases.append(("softmax_cross_entropy", logits0,
                   lambda g, p, label=label: nc.softmax_cross_entropy(g, p, label)))
+    batch0 = rng.normal(0.0, 2.0, (4, 6)).astype(np.float32)
+    labels = rng.integers(0, 6, 4).tolist()
+    u, v = weights(4, 1)
+    cases.append(("softmax_cross_entropy/batch", batch0,
+                  lambda g, p, labels=labels, u=u, v=v: _reduce(
+                      g, nc.softmax_cross_entropy(g, p, labels), u, v)))
     z0 = rng.normal(0.0, 1.5, (4, 1)).astype(np.float32)
     cases.append(("bce_with_logits/t1", z0.copy(),
                   lambda g, p: nc.bce_with_logits(g, p, 1.0)))
@@ -197,40 +218,39 @@ def all_cases(seed: int):
 
 def stage1_cases(seed: int):
     """FD cases for the full stage-1 loss: mean cross entropy of cosine
-    scores over a tiny two-sample batch, w.r.t. v and w.r.t. one u."""
+    scores over a tiny three-sample, two-domain batch, w.r.t. v and
+    w.r.t. one u."""
     from fdglab import dsp
-    from fdglab.encoder import FrozenEncoders, TokenTable, class_token, encode_text
+    from fdglab.encoder import FrozenEncoders, TokenTable, class_token
 
     rng = np.random.default_rng(seed)
     enc = FrozenEncoders(feature_dim=6, d=6, d_tok=6, seed=seed)
     table = TokenTable(d_tok=6, seed=seed)
-    classes = ["c0", "c1", "c2"]
+    tokens = [class_token(table, n) for n in ("c0", "c1", "c2")]
     embs = rng.normal(0.0, 1.0, (2, 6))
-    embs = (embs / np.linalg.norm(embs, axis=1, keepdims=True)).astype(np.float32)
-    labels = [0, 2]
     v0 = rng.normal(0.0, 0.3, (2, 6)).astype(np.float32)
     u0 = rng.normal(0.0, 0.3, (1, 6)).astype(np.float32)
+    # a third sample, from a second domain
+    embs = np.concatenate([embs, rng.normal(0.0, 1.0, (1, 6))])
+    embs = (embs / np.linalg.norm(embs, axis=1, keepdims=True)).astype(np.float32)
+    u1 = rng.normal(0.0, 0.3, (1, 6)).astype(np.float32)
+    labels, pick = [0, 2, 1], [0, 0, 1]
     tau = 0.5
 
     def batch_loss(g, p):
-        prompt_embs = nc.concat(g, [
-            encode_text(g, enc, nc.row_mean(
-                g, nc.concat(g, [*p.context_parts(0), class_token(table, n)])))
-            for n in classes
-        ])
-        losses = []
-        for i, label in enumerate(labels):
-            logits = dsp.similarity_logits(
-                g, prompt_embs, nc.Tensor(embs[i : i + 1]), tau)
-            losses.append(nc.softmax_cross_entropy(g, logits, label))
-        return nc.row_mean(g, nc.concat(g, losses, axis=0))
+        stacks = [dsp.prompt_embeddings(g, enc, p.context_parts(d), tokens)
+                  for d in (0, 1)]
+        logits = dsp.similarity_logits(g, stacks, nc.Tensor(embs), tau, pick)
+        return nc.row_mean(g, nc.softmax_cross_entropy(g, logits, labels))
 
     def wrt_v(g, vt):
-        p = dsp.DspParams(m1=2, m2=1, d_tok=6, v=vt, u={0: nc.Tensor(u0)})
+        p = dsp.DspParams(m1=2, m2=1, d_tok=6, v=vt,
+                          u={0: nc.Tensor(u0), 1: nc.Tensor(u1)})
         return batch_loss(g, p)
 
     def wrt_u(g, ut):
-        p = dsp.DspParams(m1=2, m2=1, d_tok=6, v=nc.Tensor(v0), u={0: ut})
+        p = dsp.DspParams(m1=2, m2=1, d_tok=6, v=nc.Tensor(v0),
+                          u={0: ut, 1: nc.Tensor(u1)})
         return batch_loss(g, p)
 
     return [("stage1/v", v0.copy(), wrt_v), ("stage1/u", u0.copy(), wrt_u)]

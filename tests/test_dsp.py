@@ -7,7 +7,7 @@ import pytest
 
 from fdglab import numcore as nc
 from fdglab import dsp
-from fdglab.encoder import FrozenEncoders, TokenTable
+from fdglab.encoder import FrozenEncoders, TokenTable, class_token, encode_text
 from fdglab.evalhub import InferenceModel
 from fdcheck import check_case, stage1_cases
 
@@ -140,6 +140,36 @@ def test_train_step_touches_only_batch_domains(setup):
     with pytest.raises(KeyError):
         dsp.dsp_train_step(p, [(9, 0, embs[0])], enc, table, classes,
                            nc.Adam(lr=0.05))
+
+
+def test_train_step_matches_per_sample_loop_bit_for_bit(setup):
+    enc, table, classes, embs = setup
+    batch = [(1, 2, embs[0]), (0, 0, embs[1]), (1, 1, embs[2]),
+             (1, 2, embs[3]), (0, 1, embs[4])]
+    p = dsp.make_prompt_params("dsp", domains=[0, 1], d_tok=8, seed=0)
+    loss = dsp.dsp_train_step(p, batch, enc, table, classes, nc.Adam(lr=0.05),
+                              tau=0.1)
+
+    # the reference: one text encode per prompt, one cosine, scale and
+    # cross-entropy node per sample
+    ref = dsp.make_prompt_params("dsp", domains=[0, 1], d_tok=8, seed=0)
+    g = nc.Graph()
+    tokens = [class_token(table, name) for name in classes]
+    stacks = {d: nc.concat(g, [
+        encode_text(g, enc, nc.row_mean(g, nc.concat(g, [*ref.context_parts(d), t])))
+        for t in tokens]) for d in (0, 1)}
+    losses = []
+    for d, y, emb in batch:
+        cos = nc.cosine_sim(g, stacks[d], nc.Tensor(emb.reshape(1, -1)))
+        losses.append(nc.softmax_cross_entropy(g, nc.scale(g, cos, 1.0 / 0.1), y))
+    total = nc.row_mean(g, nc.concat(g, losses))
+    params = [ref.v, ref.u[0], ref.u[1]]
+    nc.backward(g, total)
+    nc.Adam(lr=0.05).step(params)
+
+    np.testing.assert_array_equal(np.float32(loss), total.data[0, 0])
+    for name, t in p.named().items():
+        np.testing.assert_array_equal(t.data, ref.named()[name].data)
 
 
 def test_training_leaves_backbone_frozen(setup):

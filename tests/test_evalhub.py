@@ -115,8 +115,8 @@ def test_constant_generator_matches_wgm():
 
 @pytest.mark.parametrize("mode", ["dsp", "wgm"])
 def test_scoring_matches_per_prompt_path(mode):
-    # the reference: each prompt text-encoded on its own through the tape
-    # path, one w @ x.T logit per (context block, class) pair
+    # the reference: each context block's prompts encoded through the
+    # stage-1 tape path, one w @ x.T logit per (context block, class) pair
     enc, table, prompt = tiny_parts()
     classes = ["ant", "bee", "cat"]
     gan = GanParams(n_rows=4, d_tok=8, d=8, z_dim=4, h=8, seed=0)
@@ -134,8 +134,8 @@ def test_scoring_matches_per_prompt_path(mode):
                 nc.Graph(), gan, nc.Tensor(zs),
                 nc.Tensor(np.repeat(emb, 3, axis=0))).data.reshape(3, 4, 8)
         ref = np.concatenate([
-            e.data for c in contexts
-            for e in prompt_embeddings(nc.Graph(), enc, [nc.Tensor(c)], tokens)])
+            prompt_embeddings(nc.Graph(), enc, [nc.Tensor(c)], tokens).data
+            for c in contexts])
         np.testing.assert_array_equal(model._class_embeddings(contexts), ref)
         logits = np.array([(w[None] @ emb.T).item() / model.tau for w in ref])
         probs = ev._softmax(logits.reshape(len(contexts), 3).mean(axis=0))

@@ -136,8 +136,15 @@ def test_cosine_sim_bounds_and_values():
         nc.cosine_sim(g, a, nc.Tensor([[0.0, 0.0]]))
     with pytest.raises(nc.ShapeError):
         nc.cosine_sim(g, a, nc.Tensor([[1.0, 2.0, 3.0]]))
+    two = nc.Tensor([[1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(nc.ShapeError):  # stacks of unequal shape
+        nc.cosine_sim(g, [a, two], two, pick=[0, 1])
+    with pytest.raises(nc.ShapeError):  # pick length != rows of b
+        nc.cosine_sim(g, [a, a], two, pick=[0])
+    with pytest.raises(nc.ShapeError):  # pick out of range
+        nc.cosine_sim(g, [a, a], two, pick=[0, 2])
     with pytest.raises(nc.ShapeError):
-        nc.cosine_sim(g, a, nc.Tensor([[1.0, 0.0], [0.0, 1.0]]))
+        nc.cosine_sim(g, [a, a], two, pick=[-1, 0])
 
 
 def test_cosine_sim_rows_match_lone_pairs_bit_for_bit(rng):
@@ -163,6 +170,53 @@ def test_cosine_sim_rows_match_lone_pairs_bit_for_bit(rng):
     assert all(x.tobytes() == y.tobytes() for x, y in zip(ga1, ga0))
     # b sums its per-row gradients in float64 instead of float32 tape order
     assert np.allclose(gb1, gb0, atol=1e-6)
+
+
+def test_batched_cosine_and_ce_match_single_rows_bit_for_bit(rng):
+    stacks0 = [rng.normal(0, 1, (4, 9)).astype(np.float32) for _ in range(2)]
+    imgs = rng.normal(0, 1, (5, 9)).astype(np.float32)
+    pick, labels = [1, 0, 1, 1, 0], [3, 0, 2, 3, 1]
+
+    def run(batched: bool):
+        g = nc.Graph()
+        stacks = [nc.Tensor(s, requires_grad=True) for s in stacks0]
+        if batched:
+            rows = [nc.Tensor(imgs, requires_grad=True)]
+            cos = nc.cosine_sim(g, stacks, rows[0], pick)
+            losses = nc.softmax_cross_entropy(g, nc.scale(g, cos, 20.0), labels)
+        else:
+            rows = [nc.Tensor(r, requires_grad=True) for r in imgs]
+            sims = [nc.cosine_sim(g, stacks[j], r) for j, r in zip(pick, rows)]
+            cos = nc.concat(g, sims)
+            losses = nc.concat(g, [
+                nc.softmax_cross_entropy(g, nc.scale(g, c, 20.0), y)
+                for c, y in zip(sims, labels)])
+        nc.backward(g, nc.row_mean(g, losses))
+        return (cos.data, losses.data, [s.grad for s in stacks],
+                np.concatenate([r.grad for r in rows]))
+
+    cos1, loss1, ga1, gb1 = run(True)
+    cos0, loss0, ga0, gb0 = run(False)
+    np.testing.assert_array_equal(cos1, cos0)
+    np.testing.assert_array_equal(loss1, loss0)
+    for x, y in zip(ga1, ga0):
+        np.testing.assert_array_equal(x, y)
+    np.testing.assert_array_equal(gb1, gb0)
+
+
+def test_softmax_ce_rows_and_label_contract():
+    g = nc.Graph()
+    logits = nc.Tensor([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
+    out = nc.softmax_cross_entropy(g, logits, [2, 1])
+    assert out.shape == (2, 1)
+    assert abs(out.data[0, 0] - 0.40760596) < 1e-6
+    assert abs(out.data[1, 0] - math.log(3)) < 1e-6
+    with pytest.raises(nc.ShapeError):
+        nc.softmax_cross_entropy(g, logits, [2])
+    with pytest.raises(nc.ShapeError):
+        nc.softmax_cross_entropy(g, logits, 0)
+    with pytest.raises(IndexError):
+        nc.softmax_cross_entropy(g, logits, [0, 3])
 
 
 def test_softmax_ce_uniform_logits_is_log_k():
@@ -277,13 +331,10 @@ def test_inference_records_nothing():
     assert len(g) == 0 and not y.requires_grad
 
 
-def test_forward_checks_catch_nonfinite():
-    nc.set_forward_checks(True)
-    try:
-        with pytest.raises(nc.NumericError):
-            nc.scale(nc.Graph(), nc.Tensor([[np.inf]]), 1.0)
-    finally:
-        nc.set_forward_checks(False)
+def test_forward_checks_catch_nonfinite(monkeypatch):
+    monkeypatch.setattr(nc, "_forward_checks", True)
+    with pytest.raises(nc.NumericError):
+        nc.scale(nc.Graph(), nc.Tensor([[np.inf]]), 1.0)
 
 
 # ---------------------------------------------------------------------------
