@@ -46,7 +46,7 @@ ds = dg.gen_dataset(cfg.classes, cfg.n_domains, cfg.shots,
 trainer = fed.FederatedTrainer(cfg, ds, target_domain=0)
 trainer.run_all()
 ckpt = fed.ParamMessage(sender=fed.SERVER_SENDER,
-                        round=trainer.round_index - 1,
+                        round=trainer.agg_events - 1,
                         entries=trainer.server_entries())
 live = ev.evaluate(ev.InferenceModel.from_trainer(trainer), ds, 0)
 

@@ -157,7 +157,7 @@ def cmd_train(args) -> int:
         for entry in trainer.log:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
     save_message(ParamMessage(sender=SERVER_SENDER,
-                              round=max(trainer.round_index - 1, 0),
+                              round=max(trainer.agg_events - 1, 0),
                               entries=trainer.server_entries()),
                  run_dir / "final.msg")
     stages = {e["stage"] for e in trainer.log}

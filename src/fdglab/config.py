@@ -68,7 +68,6 @@ class ExperimentConfig:
     epochs: int = 100
     epochs_per_round: float = 1.0
     alpha: float = 0.2
-    momentum_literal: bool = False
     g_loss_mode: str = "nonsat"
     seed_noise: int = 0
 
@@ -115,7 +114,7 @@ def _fields() -> dict[str, type]:
 
 
 # dataclass fields carry string annotations under future-import semantics
-_TYPES = {"int": int, "float": float, "str": str, "bool": bool}
+_TYPES = {"int": int, "float": float, "str": str}
 
 
 def parse_value(key: str, raw: str):
@@ -125,11 +124,6 @@ def parse_value(key: str, raw: str):
         raise ConfigError(f"unknown config key {key!r}")
     kind = _TYPES[fields[key]]
     raw = raw.strip()
-    if kind is bool:
-        low = raw.lower()
-        if low not in ("true", "false"):
-            raise ConfigError(f"{key}: expected true or false, got {raw!r}")
-        return low == "true"
     if kind is str:
         return raw
     try:
@@ -140,8 +134,6 @@ def parse_value(key: str, raw: str):
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     return str(value)

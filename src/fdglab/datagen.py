@@ -192,7 +192,7 @@ def make_transforms(n_domains: int, feature_dim: int, shift_strength: float,
 
 def gen_dataset(k: int, n_domains: int, shots: int, feature_dim: int = 64,
                 shift_strength: float = 0.0, seed: int = 0,
-                family: str = "alpha", name: str | None = None) -> DomainDataset:
+                family: str = "alpha") -> DomainDataset:
     """Synthetic dataset: k Gaussian class centroids, shots samples per
     (domain, class), each domain seen through its own affine transform."""
     if k < 2 or n_domains < 2 or shots < 1:
@@ -215,7 +215,7 @@ def gen_dataset(k: int, n_domains: int, shots: int, feature_dim: int = 64,
             labs.append(np.full(shots, c, dtype=np.int64))
 
     return DomainDataset(
-        name=name or f"synth-{family}-k{k}-d{n_domains}-s{shots}",
+        name=f"synth-{family}-k{k}-d{n_domains}-s{shots}",
         feature_dim=feature_dim,
         domains=[(d, f"domain_{d}") for d in range(n_domains)],
         classes=[f"class_{c:02d}" for c in range(k)],
@@ -342,6 +342,10 @@ def load_dataset(path) -> DomainDataset:
                 f"domain {entry['id']}: blob has {features.shape[0]} rows, "
                 f"manifest says {entry['count']}")
         raw = _checked_read(root, blob_name + ".labels", manifest["checksums"])
+        if len(raw) % 2:
+            raise DatasetFormatError(
+                f"domain {entry['id']}: label sidecar is {len(raw)} bytes, "
+                "not a whole number of u16 labels")
         labels = np.frombuffer(raw, dtype="<u2")
         if labels.shape[0] != features.shape[0]:
             raise DatasetFormatError(

@@ -308,8 +308,7 @@ def dataset_from_config(cfg: ExperimentConfig) -> DomainDataset:
 
 
 def leave_one_domain_out(cfg: ExperimentConfig,
-                         ds: DomainDataset | None = None,
-                         on_round=None) -> list[EvalReport]:
+                         ds: DomainDataset | None = None) -> list[EvalReport]:
     """Train with each domain held out in turn and score it; one report
     per target domain."""
     validate_config(cfg)
@@ -321,7 +320,7 @@ def leave_one_domain_out(cfg: ExperimentConfig,
     reports = []
     for did, _ in ds.domains:
         trainer = FederatedTrainer(cfg, ds, target_domain=did)
-        trainer.run_all(on_round)
+        trainer.run_all()
         model = InferenceModel.from_trainer(trainer)
         reports.append(evaluate(model, ds, did, protocol="leave-one-out",
                                 seed=cfg.seed_data, fingerprint=fingerprint))

@@ -146,6 +146,8 @@ def deserialize_message(data: bytes) -> ParamMessage:
         raise MessageVersionError(
             f"unsupported message version {version} (expected {MESSAGE_VERSION})")
     (count,) = struct.unpack_from("<I", data, 14)
+    if count == 0:
+        raise MessageFormatError("message has no entries")
     end = len(data) - 8
     pos = 18
     entries: dict[str, np.ndarray] = {}
@@ -161,6 +163,8 @@ def deserialize_message(data: bytes) -> ParamMessage:
             name = data[pos:pos + name_len].decode()
         except UnicodeDecodeError as exc:
             raise MessageFormatError(f"undecodable entry name: {exc}") from None
+        if not name:
+            raise MessageFormatError("empty entry name")
         pos += name_len
         if prev_name is not None and name <= prev_name:
             raise MessageFormatError("entries not strictly sorted by name")
@@ -171,7 +175,7 @@ def deserialize_message(data: bytes) -> ParamMessage:
             raise MessageFormatError(f"{name}: bad rank {rank}")
         dims = struct.unpack_from(f"<{rank}I", data, pos)
         pos += 4 * rank
-        n = int(np.prod(dims, dtype=np.int64))
+        n = math.prod(dims)  # a Python int: dims from outside cannot wrap
         if pos + 4 * n > end:
             raise MessageFormatError(f"{name}: truncated payload")
         arr = np.frombuffer(data, dtype="<f4", count=n, offset=pos)
@@ -327,20 +331,15 @@ def _route(name: str) -> tuple[str, str]:
 class AggHistory:
     """Previously distributed values plus routing instrumentation.
 
-    The default update is out = alpha * avg + (1 - alpha) * prev, seeded
-    with the first round's plain average. The two_history variant
-    instead blends the two previously distributed states and ignores the
-    fresh average entirely from the third round on; it exists for
-    ablation and degenerates by construction.
+    The update is out = alpha * avg + (1 - alpha) * prev, seeded with the
+    first round's plain average.
     """
 
-    def __init__(self, alpha: float, two_history: bool = False):
+    def __init__(self, alpha: float):
         if not 0.0 <= alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
         self.alpha = alpha
-        self.two_history = two_history
         self.prev: dict[str, np.ndarray] = {}
-        self.prev2: dict[str, np.ndarray] = {}
         self.route_counts: dict[tuple[str, str], int] = {}
 
 
@@ -358,21 +357,11 @@ def momentum_aggregate(avg: dict[str, np.ndarray],
             out[name] = val
             continue
         prev = hist.prev.get(name)
-        if not hist.two_history:
-            if prev is None:
-                new = val.copy()
-            else:
-                new = (a * val.astype(np.float64)
-                       + (1.0 - a) * prev.astype(np.float64)).astype(np.float32)
+        if prev is None:
+            new = val.copy()
         else:
-            prev2 = hist.prev2.get(name)
-            if prev is None or prev2 is None:
-                new = val.copy()
-            else:
-                new = (a * prev.astype(np.float64)
-                       + (1.0 - a) * prev2.astype(np.float64)).astype(np.float32)
-            if prev is not None:
-                hist.prev2[name] = prev
+            new = (a * val.astype(np.float64)
+                   + (1.0 - a) * prev.astype(np.float64)).astype(np.float32)
         hist.prev[name] = new
         out[name] = new
     return out
@@ -555,8 +544,7 @@ class FederatedTrainer:
             cfg.prompt_mode, self.source_domains, cfg.m1, cfg.m2, cfg.d_tok,
             cfg.seed_model)
         self.server_gan: GanParams | None = None
-        self.history = AggHistory(cfg.alpha, cfg.momentum_literal)
-        self.round_index = 0
+        self.history = AggHistory(cfg.alpha)
         self.agg_events = 0
         self.log: list[dict] = []
 
@@ -570,7 +558,7 @@ class FederatedTrainer:
                 try:
                     losses[client.id] = span(client)
                     msgs.append(ParamMessage(
-                        sender=client.id, round=self.round_index,
+                        sender=client.id, round=self.agg_events,
                         entries={n: t.data
                                  for n, t in holder(client).named().items()}))
                 except FedError:
@@ -578,15 +566,14 @@ class FederatedTrainer:
                 except Exception as exc:
                     raise RoundError(
                         f"client {client.id} failed in round "
-                        f"{self.round_index}: {exc}") from exc
+                        f"{self.agg_events}: {exc}") from exc
             dist = momentum_aggregate(fedavg(msgs), self.history)
             self.log.append({
-                "stage": stage, "round": self.round_index,
+                "stage": stage, "round": self.agg_events,
                 "client_losses": {str(c): l for c, l in sorted(losses.items())},
                 "agg_norms": {n: float(np.linalg.norm(v))
                               for n, v in sorted(dist.items())},
             })
-            self.round_index += 1
             self.agg_events += 1
             for target in (server, *(holder(c) for c in self.clients)):
                 apply_named(target.named(), dist)

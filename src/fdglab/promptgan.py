@@ -131,13 +131,14 @@ class RealPromptBank:
         for d, ctx in self.contexts.items():
             ctx.setflags(write=False)
             self.embeddings[d].setflags(write=False)
+        # every domain's embeddings, the pool the fake branch draws from
+        self._pool = np.concatenate(
+            [self.embeddings[d] for d in self.domains], axis=0)
+        self._pool.setflags(write=False)
 
     @property
     def domains(self) -> list[int]:
         return sorted(self.contexts)
-
-    def all_embeddings(self) -> np.ndarray:
-        return np.concatenate([self.embeddings[d] for d in self.domains], axis=0)
 
     def sample_batch(self, rng: np.random.Generator, batch_size: int):
         """(real contexts, matching-domain embeddings, fresh embeddings).
@@ -156,8 +157,7 @@ class RealPromptBank:
             pool = self.embeddings[d]
             ctxs.append(self.contexts[d].reshape(1, -1))
             embs.append(pool[rng.integers(0, pool.shape[0])].reshape(1, -1))
-        allpool = self.all_embeddings()
-        fakes = allpool[rng.integers(0, allpool.shape[0], batch_size)]
+        fakes = self._pool[rng.integers(0, self._pool.shape[0], batch_size)]
         return (np.concatenate(ctxs, axis=0), np.concatenate(embs, axis=0),
                 fakes.astype(np.float32))
 

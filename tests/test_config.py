@@ -1,6 +1,7 @@
 """Config serialization, layering, validation, and fingerprint tests."""
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -58,7 +59,6 @@ def test_load_rejects_bad_files(tmp_path):
         "unknown.cfg": "nope = 1\n",
         "syntax.cfg": "epochs 4\n",
         "type.cfg": "epochs = soon\n",
-        "bool.cfg": "momentum_literal = yes\n",
     }
     for name, text in cases.items():
         path = tmp_path / name
@@ -121,14 +121,13 @@ def test_config_text_is_canonical():
     keys = [line.split(" = ")[0] for line in text.strip().splitlines()]
     assert keys == names
     assert "lr_gan = 0.01" in text
-    assert "momentum_literal = false" in text
 
 
 def test_config_hash_frozen_oracles():
     # frozen fingerprints; a change here means every report fingerprint
     # in the wild changes meaning
-    assert cf.config_hash(cf.ExperimentConfig()) == "7cdb89fbf4950b28"
-    assert cf.config_hash(cf.desk_preset()) == "ccdea20cc7337290"
+    assert cf.config_hash(cf.ExperimentConfig()) == "0fb852cec5aeb833"
+    assert cf.config_hash(cf.desk_preset()) == "9cfbb1e0ca468593"
 
 
 def test_config_hash_sensitivity():
@@ -139,3 +138,9 @@ def test_config_hash_sensitivity():
         assert cf.config_hash(cfg) != base
     again = cf.config_hash(cf.desk_preset())
     assert again == base
+
+
+def test_example_config_is_the_desk_preset(tmp_path):
+    example = Path(__file__).resolve().parent.parent / "docs" / "example.cfg"
+    saved = cf.save_config(cf.desk_preset(), tmp_path / "desk.cfg")
+    assert example.read_bytes() == saved.read_bytes()

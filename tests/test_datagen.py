@@ -195,3 +195,15 @@ def test_label_count_mismatch_rejected(tmp_path, ds):
     (root / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(dg.DatasetFormatError):
         dg.load_dataset(root)
+
+
+def test_odd_length_label_sidecar_rejected(tmp_path, ds):
+    root = dg.save_dataset(ds, tmp_path / "ds")
+    side = root / "domain_0.f32.labels"
+    data = side.read_bytes()[:-1]
+    side.write_bytes(data)
+    manifest = json.loads((root / "manifest.json").read_text())
+    manifest["checksums"]["domain_0.f32.labels"] = dg._digest(data)
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(dg.DatasetFormatError, match="u16 labels"):
+        dg.load_dataset(root)

@@ -118,6 +118,28 @@ def test_unsorted_entries_rejected(rng):
         fed.deserialize_message(bytes(body))
 
 
+def _with_checksum(body: bytes) -> bytes:
+    return body + struct.pack("<Q", fed.fnv1a64(body))
+
+
+def test_checksummed_malformed_entries_rejected():
+    # checksums hold, so only the decoder's own checks stand between these
+    # and ParamMessage's plain ValueError
+    header = b"FDSP" + struct.pack("<HII", fed.MESSAGE_VERSION, 0, 0)
+    no_entries = _with_checksum(header + struct.pack("<I", 0))
+    with pytest.raises(fed.MessageFormatError, match="no entries"):
+        fed.deserialize_message(no_entries)
+    empty_name = _with_checksum(
+        header + struct.pack("<IHBI", 1, 0, 1, 1) + struct.pack("<f", 1.0))
+    with pytest.raises(fed.MessageFormatError, match="empty entry name"):
+        fed.deserialize_message(empty_name)
+    # four dims of 2**16 multiply to 2**64, which wraps to 0 in int64
+    huge = _with_checksum(header + struct.pack("<IH", 1, 1) + b"v"
+                          + struct.pack("<B4I", 4, *[1 << 16] * 4))
+    with pytest.raises(fed.MessageFormatError, match="truncated payload"):
+        fed.deserialize_message(huge)
+
+
 def test_message_validation():
     with pytest.raises(ValueError):
         fed.ParamMessage(0, 0, {})
@@ -294,15 +316,6 @@ def test_momentum_default_path_hand_sequence():
     assert np.allclose(outs, [1.0, 1.2, 1.56], atol=1e-6)
 
 
-def test_momentum_two_history_ignores_fresh_average():
-    # alpha 0.2 over averages 1, 2, 3, 4: outputs 1, 2, 1.2, 1.84
-    hist = fed.AggHistory(alpha=0.2, two_history=True)
-    outs = [fed.momentum_aggregate(
-        {"v": np.full((1, 1), float(a), np.float32)}, hist)["v"][0, 0]
-        for a in (1.0, 2.0, 3.0, 4.0)]
-    assert np.allclose(outs, [1.0, 2.0, 1.2, 1.84], atol=1e-6)
-
-
 def test_momentum_routing_and_counters(rng):
     hist = fed.AggHistory(alpha=0.2)
     avg = {name: rng.normal(0, 1, (2, 2)).astype(np.float32)
@@ -462,7 +475,7 @@ def test_trainer_checkpoint_restore(tmp_path, mode):
     tr = fed.FederatedTrainer(cfg, ds, target_domain=2)
     tr.run_all()
     path = fed.save_message(fed.ParamMessage(
-        fed.SERVER_SENDER, tr.round_index, tr.server_entries()),
+        fed.SERVER_SENDER, tr.agg_events, tr.server_entries()),
         tmp_path / "final.fdsp")
     fresh = fed.FederatedTrainer(cfg, ds, target_domain=2)
     fresh.apply_checkpoint(load_entries := fed.load_message(path).entries)

@@ -59,12 +59,12 @@ GOLDEN = {
     "dsp": {
         "stage1": "37059606f8ac63882d61cff1c36ac318",
         "stage2": "a32b13164e42934501fb6831b30347c5",
-        "report": "21a2b5d902b652ac4218f4b45f31262f",
+        "report": "0ae50b16a8ba63c0853854b85ddf8213",
     },
     "wgm": {
         # same seeds and stage 1 as dsp, so the same parameters
         "stage1": "37059606f8ac63882d61cff1c36ac318",
-        "report": "db928167fc4aaa5109b40fe36c130e82",
+        "report": "ab4f57b5fcac6d069742f977c0c423f8",
     },
 }
 
