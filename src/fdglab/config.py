@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from .datagen import FAMILIES
 from .dsp import PROMPT_MODES, TAU_DEFAULT
-from .promptgan import G_LOSS_MODES, HIDDEN_DEFAULT, Z_DIM_DEFAULT
+from .promptgan import HIDDEN_DEFAULT, Z_DIM_DEFAULT
 
-Z_POLICIES = ("fixed-zero", "seeded-sample", "mean-of-samples")
+Z_POLICIES = ("fixed-zero", "mean-of-samples")
 
 
 class ConfigError(ValueError):
@@ -68,7 +69,6 @@ class ExperimentConfig:
     epochs: int = 100
     epochs_per_round: float = 1.0
     alpha: float = 0.2
-    g_loss_mode: str = "nonsat"
     seed_noise: int = 0
 
     # inference
@@ -194,6 +194,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if not cond:
             raise ConfigError(msg)
 
+    for name, kind in _fields().items():
+        if kind == "float":
+            need(math.isfinite(getattr(cfg, name)), f"{name} must be finite")
     need(cfg.classes >= 2, "classes must be >= 2")
     need(cfg.n_domains >= 2, "n_domains must be >= 2")
     need(cfg.shots >= 1, "shots must be >= 1")
@@ -226,8 +229,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
     need(abs(rounds - round(rounds)) < 1e-9,
          "epochs must be divisible by epochs_per_round")
     need(0.0 <= cfg.alpha <= 1.0, "alpha must be in [0, 1]")
-    need(cfg.g_loss_mode in G_LOSS_MODES,
-         f"g_loss_mode must be one of {G_LOSS_MODES}")
     need(cfg.z_policy in Z_POLICIES,
          f"z_policy must be one of {Z_POLICIES}")
     need(cfg.z_samples >= 1, "z_samples must be >= 1")

@@ -317,6 +317,9 @@ def load_dataset(path) -> DomainDataset:
     root = Path(path)
     manifest = _read_manifest(root)
     dim = manifest["feature_dim"]
+    ids = [entry["id"] for entry in manifest["domains"]]
+    if len(set(ids)) != len(ids):
+        raise DatasetFormatError(f"repeated domain ids: {ids}")
 
     blobs = []
     for entry in manifest["domains"]:

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numcore as nc
-from .config import ExperimentConfig, config_hash, validate_config
+from .config import Z_POLICIES, ExperimentConfig, config_hash, validate_config
 from .datagen import DomainDataset, gen_dataset, load_dataset
 from .dsp import DspParams
 from .encoder import FrozenEncoders, TokenTable, encode_image, encode_text
@@ -65,14 +65,13 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 def _draw_z(z_policy: str, z_samples: int, z_dim: int,
             z_seed: int) -> np.ndarray:
+    if z_policy not in Z_POLICIES:
+        raise ValueError(f"unknown z_policy {z_policy!r}")
     if z_policy == "fixed-zero":
         return np.zeros((1, z_dim), dtype=np.float32)
     rng = np.random.default_rng(
         np.random.SeedSequence((z_seed, _STREAM_EVAL_Z)))
-    n = 1 if z_policy == "seeded-sample" else z_samples
-    if z_policy not in ("seeded-sample", "mean-of-samples"):
-        raise ValueError(f"unknown z_policy {z_policy!r}")
-    return rng.standard_normal((n, z_dim)).astype(np.float32)
+    return rng.standard_normal((z_samples, z_dim)).astype(np.float32)
 
 
 def wgm_context_rows(dsps: DspParams) -> np.ndarray:

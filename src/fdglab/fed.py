@@ -490,7 +490,7 @@ class _ClientState:
                 self.gan_rng, cfg.batch_size)
             d_l, g_l = gan_train_step(
                 self.gan, real_ctx, real_emb, fake_emb, self.gan_rng,
-                self.opt_g, self.opt_d, cfg.g_loss_mode)
+                self.opt_g, self.opt_d)
             d_losses.append(d_l)
             g_losses.append(g_l)
         return float(np.mean(d_losses)), float(np.mean(g_losses))

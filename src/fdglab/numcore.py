@@ -10,10 +10,13 @@ K x d stacks (``pick``), and softmax_cross_entropy returns B per-row
 losses.
 
 Numerics contract: values are stored as float32, reductions (dots, sums,
-matmul) accumulate in float64 before rounding back, and every reduction
-uses a fixed, input-independent evaluation order, so repeated runs on one
-platform are bit-identical. A batched cosine_sim or softmax_cross_entropy
-node gives the same bits as one node per row.
+matmul) accumulate in float64 before rounding back, and every reduction's
+evaluation order depends on operand shapes only, never on values, so
+repeated runs on one platform are bit-identical. The order does change
+with shape: BLAS picks its matmul kernel by shape, so an R-row matmul can
+round differently from R one-row matmuls. A batched cosine_sim or
+softmax_cross_entropy node avoids that and gives the same bits as one
+node per row.
 
 Gradients accumulate into ``Tensor.grad`` across backward calls; the
 caller resets them (see ``reset_grads``).
@@ -465,8 +468,6 @@ class _AdamBase:
     cleared.
     """
 
-    decoupled_decay = False
-
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8, weight_decay: float = 0.0):
         self.lr = float(lr)
@@ -488,7 +489,7 @@ class _AdamBase:
                 self._slots[id(p)] = slot
             slot.t += 1
             w = p.data.astype(np.float64)
-            if self.decoupled_decay and self.weight_decay != 0.0:
+            if self.weight_decay != 0.0:
                 w = w * (1.0 - self.lr * self.weight_decay)
             grad = p.grad.astype(np.float64)
             slot.m = self.beta1 * slot.m + (1.0 - self.beta1) * grad
@@ -509,5 +510,3 @@ class Adam(_AdamBase):
 
 class AdamW(_AdamBase):
     """Adam with decoupled weight decay, applied before the Adam step."""
-
-    decoupled_decay = True

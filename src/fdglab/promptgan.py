@@ -8,8 +8,7 @@ real pairs are a client's tuned context with an embedding from the
 matching domain, fake pairs are generated contexts conditioned on
 embeddings drawn from the client's own data.
 
-The generator step uses the non-saturating loss by default; the literal
-saturating form is available via g_loss_mode="saturating".
+The generator step uses the non-saturating loss, -log D(G(z)).
 """
 
 from __future__ import annotations
@@ -26,8 +25,6 @@ HIDDEN_DEFAULT = 128
 # substream ids under the model seed
 _STREAM_G = 20
 _STREAM_D = 21
-
-G_LOSS_MODES = ("nonsat", "saturating")
 
 
 def _layer(seed_seq, fan_in: int, fan_out: int) -> tuple[nc.Tensor, nc.Tensor]:
@@ -168,8 +165,7 @@ def sample_z(rng: np.random.Generator, batch_size: int, z_dim: int) -> np.ndarra
 
 def gan_train_step(gan: GanParams, real_contexts: np.ndarray,
                    real_embs: np.ndarray, fake_embs: np.ndarray,
-                   rng: np.random.Generator, opt_g, opt_d,
-                   g_loss_mode: str = "nonsat") -> tuple[float, float]:
+                   rng: np.random.Generator, opt_g, opt_d) -> tuple[float, float]:
     """One discriminator step then one generator step.
 
     real_contexts: (B, n_rows*d_tok) flattened tuned contexts;
@@ -177,8 +173,6 @@ def gan_train_step(gan: GanParams, real_contexts: np.ndarray,
     fake_embs: (B, d) embeddings conditioning the generated contexts.
     Returns (d_loss, g_loss); d_loss sums the real and fake terms.
     """
-    if g_loss_mode not in G_LOSS_MODES:
-        raise ValueError(f"unknown g_loss_mode {g_loss_mode!r}")
     b = real_contexts.shape[0]
     if b < 1:
         raise ValueError("empty batch")
@@ -206,10 +200,7 @@ def gan_train_step(gan: GanParams, real_contexts: np.ndarray,
     g2 = nc.Graph()
     gen_rows = generator_rows(g2, gan, nc.Tensor(z2), nc.Tensor(fake_embs))
     logit_gen = discriminator_logits(g2, gan, gen_rows, nc.Tensor(fake_embs))
-    if g_loss_mode == "nonsat":
-        g_loss = nc.bce_with_logits(g2, logit_gen, 1.0)
-    else:
-        g_loss = nc.scale(g2, nc.bce_with_logits(g2, logit_gen, 0.0), -1.0)
+    g_loss = nc.bce_with_logits(g2, logit_gen, 1.0)
     nc.reset_grads(gp + dp)
     nc.backward(g2, g_loss)
     opt_g.step(gp)

@@ -328,7 +328,7 @@ def test_criterion_06_gan_sanity():
     for _ in range(2000):
         ctx, re_, fe = bank.sample_batch(rng, dflt.batch_size)
         d_loss, g_loss = pg.gan_train_step(gan, ctx, re_, fe, rng, opt_g,
-                                           opt_d, dflt.g_loss_mode)
+                                           opt_d)
         finite &= bool(np.isfinite(d_loss) and np.isfinite(g_loss))
     t_c = time.monotonic() - t0
 

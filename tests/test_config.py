@@ -59,6 +59,8 @@ def test_load_rejects_bad_files(tmp_path):
         "unknown.cfg": "nope = 1\n",
         "syntax.cfg": "epochs 4\n",
         "type.cfg": "epochs = soon\n",
+        "retired_key.cfg": "g_loss_mode = nonsat\n",
+        "retired_value.cfg": "z_policy = seeded-sample\n",
     }
     for name, text in cases.items():
         path = tmp_path / name
@@ -84,13 +86,23 @@ def test_validation_ranges():
         "prompt_mode": "full", "d": 1, "d_tok": 1, "tau": 0.0,
         "batch_size": 0, "lr_prompt": -1.0, "weight_decay": -1.0,
         "epochs": 0, "epochs_per_round": 0.25, "alpha": 1.5,
-        "g_loss_mode": "wasserstein", "z_policy": "warm", "z_samples": 0,
+        "z_policy": "warm", "z_samples": 0,
     }
     for key, value in bad.items():
         cfg = cf.desk_preset()
         setattr(cfg, key, value)
         with pytest.raises(cf.ConfigError):
             cf.validate_config(cfg)
+
+
+def test_non_finite_floats_rejected():
+    floats = [f.name for f in dataclasses.fields(cf.ExperimentConfig)
+              if f.type == "float"]
+    assert "lr_prompt" in floats and "tau" in floats
+    for key in floats:
+        for raw in ("inf", "-inf", "nan"):
+            with pytest.raises(cf.ConfigError, match=key):
+                cf.apply_overrides(cf.desk_preset(), {key: raw})
 
 
 def test_epochs_divisibility_contract():
@@ -126,8 +138,8 @@ def test_config_text_is_canonical():
 def test_config_hash_frozen_oracles():
     # frozen fingerprints; a change here means every report fingerprint
     # in the wild changes meaning
-    assert cf.config_hash(cf.ExperimentConfig()) == "0fb852cec5aeb833"
-    assert cf.config_hash(cf.desk_preset()) == "9cfbb1e0ca468593"
+    assert cf.config_hash(cf.ExperimentConfig()) == "e21b74e3ef1c92e1"
+    assert cf.config_hash(cf.desk_preset()) == "8f3c8efbcb239a50"
 
 
 def test_config_hash_sensitivity():

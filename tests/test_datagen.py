@@ -207,3 +207,12 @@ def test_odd_length_label_sidecar_rejected(tmp_path, ds):
     (root / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(dg.DatasetFormatError, match="u16 labels"):
         dg.load_dataset(root)
+
+
+def test_repeated_domain_ids_rejected(tmp_path, ds):
+    root = dg.save_dataset(ds, tmp_path / "ds")
+    manifest = json.loads((root / "manifest.json").read_text())
+    manifest["domains"][-1]["id"] = manifest["domains"][-2]["id"]
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(dg.DatasetFormatError, match="repeated domain ids"):
+        dg.load_dataset(root)

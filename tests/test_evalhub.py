@@ -196,7 +196,7 @@ def test_z_policies_differ_and_validate():
     outs = {zp: predict(make_model(enc, table, classes, gan=gan, z_policy=zp,
                                    z_samples=4), x).probs
             for zp in cf.Z_POLICIES}
-    assert not np.allclose(outs["fixed-zero"], outs["seeded-sample"])
+    assert not np.allclose(outs["fixed-zero"], outs["mean-of-samples"])
     with pytest.raises(ValueError, match="z_policy"):
         predict(make_model(enc, table, classes, gan=gan, z_policy="bogus"), x)
 

@@ -59,12 +59,12 @@ GOLDEN = {
     "dsp": {
         "stage1": "37059606f8ac63882d61cff1c36ac318",
         "stage2": "a32b13164e42934501fb6831b30347c5",
-        "report": "0ae50b16a8ba63c0853854b85ddf8213",
+        "report": "46286a61dc72fa2819fbecea9905ad4d",
     },
     "wgm": {
         # same seeds and stage 1 as dsp, so the same parameters
         "stage1": "37059606f8ac63882d61cff1c36ac318",
-        "report": "ab4f57b5fcac6d069742f977c0c423f8",
+        "report": "693ed27b72dbc52404916ae30734bd55",
     },
 }
 
