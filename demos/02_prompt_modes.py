@@ -1,10 +1,12 @@
 """The four prompt modes on one seed, side by side.
 
 dsp trains shared + per-domain contexts and generates contexts at
-inference; csp drops the per-domain rows; hdp trains nothing and uses
-the handcrafted token template; wgm reuses the tuned prompts directly
-without a generator. At this miniature scale one seed is noisy, but the
-full pipeline should usually lead and the handcrafted template trail.
+inference; csp drops the per-domain rows; hdp freezes the handcrafted
+token template as its context and skips stage 1, but still trains the
+federated GAN on the template and scores with its output; wgm reuses
+the tuned prompts directly without a generator. At this miniature scale
+one seed is noisy, but the full pipeline should usually lead and the
+handcrafted template trail.
 """
 
 from dataclasses import replace

@@ -20,7 +20,8 @@ Prompt variants:
   dsp  full prompt [v; u^d; cls], two-stage pipeline
   csp  shared context only [v; cls], no domain-specific rows
   wgm  same parameters as dsp but no generator stage downstream
-  hdp  fixed hand-written template, nothing trainable
+  hdp  fixed hand-written template as a frozen v, no stage 1; stage 2
+       still trains a federated GAN on a bank of template rows
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ HDP_WORDS = ("a", "photo", "of", "a")
 
 @dataclass
 class DspParams:
-    """Trainable prompt contexts for one client."""
+    """Prompt contexts for one client; hdp's v is the frozen template."""
 
     m1: int
     m2: int
@@ -61,9 +62,10 @@ class DspParams:
             raise ValueError("prompt needs at least one context row")
 
     def named(self) -> dict[str, nc.Tensor]:
-        """Aggregation names: 'v' and 'u/<domain_id>'."""
+        """Aggregation names of the trainable tensors: 'v' and
+        'u/<domain_id>'. A frozen v is not listed."""
         out = {}
-        if self.v is not None:
+        if self.v is not None and self.v.requires_grad:
             out["v"] = self.v
         for d in sorted(self.u):
             out[f"u/{d}"] = self.u[d]
@@ -85,17 +87,22 @@ class DspParams:
 
 
 def make_prompt_params(mode: str, domains, m1: int = 4, m2: int = 4,
-                       d_tok: int = 32, seed: int = 0) -> DspParams | None:
+                       d_tok: int = 32, seed: int = 0,
+                       table: TokenTable | None = None) -> DspParams:
     """Initialized contexts for one client holding the given domains.
 
     Gaussian init std 0.02; all clients share the init for a given seed,
-    which matches a server-broadcast starting point. Returns None for
-    hdp (nothing to train).
+    which matches a server-broadcast starting point. Under hdp, v is the
+    frozen template rows of ``table`` and m1, m2 and seed are unused.
     """
     if mode not in PROMPT_MODES:
         raise ValueError(f"unknown prompt mode {mode!r}, options: {PROMPT_MODES}")
     if mode == "hdp":
-        return None
+        if table is None:
+            raise ValueError("hdp needs the token table for its template")
+        rows = np.concatenate([table.row(w) for w in HDP_WORDS], axis=0)
+        return DspParams(m1=len(HDP_WORDS), m2=0, d_tok=table.d_tok,
+                         v=nc.Tensor(rows))
     if mode == "csp":
         m2 = 0
     rng_v = np.random.default_rng(np.random.SeedSequence((seed, _STREAM_V)))
@@ -109,12 +116,6 @@ def make_prompt_params(mode: str, domains, m1: int = 4, m2: int = 4,
                 rng_u.normal(0.0, INIT_STD, (m2, d_tok)).astype(np.float32),
                 requires_grad=True)
     return DspParams(m1=m1, m2=m2, d_tok=d_tok, v=v, u=u)
-
-
-def template_context_rows(table: TokenTable) -> np.ndarray:
-    """The fixed template block (len(HDP_WORDS), d_tok); hdp's stand-in
-    for [v; u^d]."""
-    return np.concatenate([table.row(w) for w in HDP_WORDS], axis=0)
 
 
 def similarity_logits(g: nc.Graph, prompt_embs, image_embs: nc.Tensor,

@@ -76,8 +76,6 @@ def _draw_z(z_policy: str, z_samples: int, z_dim: int,
 
 def wgm_context_rows(dsps: DspParams) -> np.ndarray:
     """[v; mean over source domains of u^d] for generator-free inference."""
-    if dsps is None:
-        raise ValueError("no tuned prompt parameters")
     parts = []
     if dsps.v is not None:
         parts.append(dsps.v.data)

@@ -32,8 +32,7 @@ import numpy as np
 from . import numcore as nc
 from .config import ExperimentConfig, n_rounds, validate_config
 from .datagen import DomainDataset
-from .dsp import (HDP_WORDS, DspParams, dsp_train_step, make_prompt_params,
-                  template_context_rows)
+from .dsp import DspParams, dsp_train_step, make_prompt_params
 from .encoder import FrozenEncoders, TokenTable, encode_image
 from .promptgan import GanParams, RealPromptBank, gan_train_step
 
@@ -199,41 +198,16 @@ def load_message(path) -> ParamMessage:
 # ---------------------------------------------------------------------------
 # partitioning
 
-@dataclass
-class Partition:
-    """Client -> set of source-domain indices (0..n_source_domains-1)."""
-
-    assignments: dict[int, set[int]]
-    overlap_ratio: float
-    n_clients: int
-    n_source_domains: int
-
-    def __post_init__(self):
-        placed: dict[int, int] = {}
-        for cid, doms in self.assignments.items():
-            if not 0 <= cid < self.n_clients:
-                raise PartitionError(f"client id {cid} out of range")
-            for d in doms:
-                placed[d] = placed.get(d, 0) + 1
-        if sorted(placed) != list(range(self.n_source_domains)):
-            raise PartitionError("every source domain must be assigned")
-        n_shared = sum(1 for c in placed.values() if c >= 2)
-        want = _round_half_up(self.overlap_ratio * self.n_source_domains)
-        if n_shared != want:
-            raise PartitionError(
-                f"{n_shared} domains shared, overlap ratio demands {want}")
-
-    def holders(self, domain: int) -> list[int]:
-        return sorted(c for c, doms in self.assignments.items() if domain in doms)
-
-
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
 def partition_domains(n_source_domains: int, n_clients: int, r: float,
-                      seed: int = 0) -> Partition:
+                      seed: int = 0) -> dict[int, set[int]]:
     """Deal domains to clients; round(r * n) of them land on two clients.
+
+    Returns client id -> set of source-domain indices
+    (0..n_source_domains-1).
 
     Shared domains are chosen first by seeded shuffle and replicated to
     two distinct clients via a round-robin cursor; the unique remainder
@@ -266,8 +240,7 @@ def partition_domains(n_source_domains: int, n_clients: int, r: float,
     for d in order[n_shared:]:
         assignments[cursor % n_clients].add(d)
         cursor += 1
-    return Partition(assignments=assignments, overlap_ratio=r,
-                     n_clients=n_clients, n_source_domains=n_source_domains)
+    return assignments
 
 
 # ---------------------------------------------------------------------------
@@ -370,16 +343,9 @@ def momentum_aggregate(avg: dict[str, np.ndarray],
 # ---------------------------------------------------------------------------
 # round orchestration
 
-def new_gan(cfg: ExperimentConfig) -> GanParams:
-    """Freshly initialized GAN producing the prompt mode's context rows:
-    the template rows under hdp, [v] under csp, [v; u^d] otherwise."""
-    if cfg.prompt_mode == "hdp":
-        n_rows = len(HDP_WORDS)
-    elif cfg.prompt_mode == "csp":
-        n_rows = cfg.m1
-    else:
-        n_rows = cfg.m1 + cfg.m2
-    return GanParams(n_rows, cfg.d_tok, cfg.d, z_dim=cfg.z_dim,
+def new_gan(cfg: ExperimentConfig, prompt: DspParams) -> GanParams:
+    """Freshly initialized GAN producing prompt's m1 + m2 context rows."""
+    return GanParams(prompt.m1 + prompt.m2, cfg.d_tok, cfg.d, z_dim=cfg.z_dim,
                      h=cfg.gan_hidden, seed=cfg.seed_model)
 
 
@@ -402,7 +368,7 @@ def apply_named(named: dict[str, nc.Tensor],
 class _ClientState:
     """One client's data, parameters, optimizers, and rng streams."""
 
-    def __init__(self, cid: int, domains, data_by_domain, cfg):
+    def __init__(self, cid: int, domains, data_by_domain, cfg, table):
         self.id = cid
         self.domains = sorted(int(d) for d in domains)
         self.cfg = cfg
@@ -416,8 +382,8 @@ class _ClientState:
             1, math.ceil(len(self.samples) / cfg.batch_size))
         self.prompt = make_prompt_params(
             cfg.prompt_mode, self.domains, cfg.m1, cfg.m2, cfg.d_tok,
-            cfg.seed_model)
-        self.opt_prompt = nc.Adam(lr=cfg.lr_prompt) if self.prompt else None
+            cfg.seed_model, table)
+        self.opt_prompt = nc.Adam(lr=cfg.lr_prompt)
         self.gan: GanParams | None = None
         self.opt_g = self.opt_d = None
         self.bank: RealPromptBank | None = None
@@ -468,17 +434,12 @@ class _ClientState:
         return float(np.mean(losses))
 
     # -- stage 2 ----------------------------------------------------------
-    def start_stage2(self, table):
+    def start_stage2(self):
         cfg = self.cfg
-        contexts = {}
-        for d in self.domains:
-            if cfg.prompt_mode == "hdp":
-                contexts[d] = template_context_rows(table)
-            else:
-                contexts[d] = self.prompt.context_rows(d).copy()
+        contexts = {d: self.prompt.context_rows(d) for d in self.domains}
         embeddings = {d: self.data[d][0].copy() for d in self.domains}
         self.bank = RealPromptBank(contexts=contexts, embeddings=embeddings)
-        self.gan = new_gan(cfg)
+        self.gan = new_gan(cfg, self.prompt)
         self.opt_g = nc.AdamW(lr=cfg.lr_gan, weight_decay=cfg.weight_decay)
         self.opt_d = nc.AdamW(lr=cfg.lr_gan, weight_decay=cfg.weight_decay)
 
@@ -537,12 +498,13 @@ class FederatedTrainer:
         self.clients = []
         for cid in range(cfg.n_clients):
             actual = [self.source_domains[i]
-                      for i in sorted(self.partition.assignments[cid])]
+                      for i in sorted(self.partition[cid])]
             data = {d: emb_by_domain[d] for d in actual}
-            self.clients.append(_ClientState(cid, actual, data, cfg))
-        self.server_prompt: DspParams | None = make_prompt_params(
+            self.clients.append(_ClientState(cid, actual, data, cfg,
+                                             self.table))
+        self.server_prompt = make_prompt_params(
             cfg.prompt_mode, self.source_domains, cfg.m1, cfg.m2, cfg.d_tok,
-            cfg.seed_model)
+            cfg.seed_model, self.table)
         self.server_gan: GanParams | None = None
         self.history = AggHistory(cfg.alpha)
         self.agg_events = 0
@@ -581,8 +543,9 @@ class FederatedTrainer:
                 on_round(self, dist)
 
     def run_stage1(self, on_round=None) -> None:
-        """Soft-prompt rounds; a no-op under hdp (nothing trainable)."""
-        if self.cfg.prompt_mode == "hdp":
+        """Soft-prompt rounds; a no-op when the prompt has nothing to train
+        (hdp's frozen template)."""
+        if not self.server_prompt.named():
             return
         self._rounds(
             1, lambda c: c.stage1_span(self.enc, self.table, self.classes,
@@ -594,10 +557,10 @@ class FederatedTrainer:
         if self.cfg.prompt_mode == "wgm":
             return
         for client in self.clients:
-            client.start_stage2(self.table)
+            client.start_stage2()
         self.lineage["bank_domains"] = sorted(
             {d for c in self.clients for d in c.bank.domains})
-        self.server_gan = new_gan(self.cfg)
+        self.server_gan = new_gan(self.cfg, self.server_prompt)
         self._rounds(2, lambda c: c.stage2_span(), lambda c: c.gan,
                      self.server_gan, on_round)
 
@@ -616,12 +579,22 @@ class FederatedTrainer:
 
     def apply_checkpoint(self, entries: dict[str, np.ndarray]) -> None:
         """Restore server (and client prompt) parameters from checkpoint
-        entries; a checkpoint with generator entries creates the server GAN."""
+        entries; a checkpoint with generator entries creates the server GAN.
+
+        The checkpoint must hold exactly the server's parameter names: a
+        prompt trained with other held-out domains has other u/<d> rows.
+        """
         if (self.server_gan is None
                 and any(n.startswith(("G/", "D/")) for n in entries)):
-            self.server_gan = new_gan(self.cfg)
+            self.server_gan = new_gan(self.cfg, self.server_prompt)
+        want = {n for h in self._server_holders() for n in h.named()}
+        if set(entries) != want:
+            raise ValueError(
+                "checkpoint does not match the model: missing "
+                f"{sorted(want - set(entries))}, unexpected "
+                f"{sorted(set(entries) - want)}; was it trained with "
+                "another --holdout?")
         for h in self._server_holders():
             apply_named(h.named(), entries)
         for client in self.clients:
-            if client.prompt is not None:
-                apply_named(client.prompt.named(), entries)
+            apply_named(client.prompt.named(), entries)

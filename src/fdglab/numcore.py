@@ -24,8 +24,6 @@ caller resets them (see ``reset_grads``).
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 
@@ -41,15 +39,8 @@ class DegenerateInputError(ValueError):
     """Numerically degenerate input, e.g. a zero-norm vector."""
 
 
-class NumericError(ArithmeticError):
-    """Non-finite value produced by a forward pass (debug checks only)."""
-
-
 class OptimizerError(RuntimeError):
     """Optimizer contract violation, e.g. stepping a gradient-less param."""
-
-
-_forward_checks = os.environ.get("FDGLAB_CHECKS", "0") not in ("", "0")
 
 
 class Tensor:
@@ -123,8 +114,6 @@ class Graph:
 
 
 def _finish(graph: Graph, out: Tensor, parents, vjp) -> Tensor:
-    if _forward_checks and not np.isfinite(out.data).all():
-        raise NumericError("non-finite value in forward pass")
     if out.requires_grad:
         graph.nodes.append(_Node(out, parents, vjp))
     return out

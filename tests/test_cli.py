@@ -184,6 +184,23 @@ def test_eval_checkpoint_scores_saved_state(tmp_path):
     assert lines[1].startswith("checkpoint,domain_0,")
 
 
+def test_eval_checkpoint_refuses_other_holdout(tmp_path, capsys):
+    # trained without domain 2, so the checkpoint holds v, u/0 and u/1
+    out = str(tmp_path)
+    assert run("train", *TINY, "--prompt-mode", "wgm", "--out", out,
+               "--holdout", "2") == 0
+    final = str(next((tmp_path / "train").iterdir()) / "final.msg")
+    capsys.readouterr()
+    for holdout in ([], ["--holdout", "1"]):
+        assert run("eval", *TINY, "--prompt-mode", "wgm", "--checkpoint",
+                   final, *holdout, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert "missing ['u/2']" in err and "--holdout" in err
+    assert "unexpected ['u/1']" in err
+    assert run("eval", *TINY, "--prompt-mode", "wgm", "--checkpoint", final,
+               "--holdout", "2", "--out", out) == 0
+
+
 # ---------------------------------------------------------------------------
 # sweep and report
 

@@ -30,7 +30,12 @@ def test_make_params_modes():
     assert c.m2 == 0 and c.u == {}
     w = dsp.make_prompt_params("wgm", domains=[0], d_tok=8, seed=0)
     assert w.v is not None and 0 in w.u
-    assert dsp.make_prompt_params("hdp", domains=[0], d_tok=8, seed=0) is None
+    table = TokenTable(d_tok=8, seed=0)
+    h = dsp.make_prompt_params("hdp", domains=[0], d_tok=8, seed=0, table=table)
+    assert (h.m1, h.m2, h.u, h.named()) == (4, 0, {}, {})
+    assert not h.v.requires_grad
+    with pytest.raises(ValueError, match="token table"):
+        dsp.make_prompt_params("hdp", domains=[0], d_tok=8, seed=0)
     with pytest.raises(ValueError):
         dsp.make_prompt_params("foo", domains=[0])
     with pytest.raises(ValueError):
@@ -193,10 +198,13 @@ def test_stage1_loss_gradients_match_fd():
 
 def test_hand_crafted_prompts():
     # hdp's fixed template "a photo of a", stacked above each class token
+    def template(table):
+        return dsp.make_prompt_params("hdp", [0], table=table).context_rows(0)
+
     table = TokenTable(d_tok=8, seed=0)
-    rows = dsp.template_context_rows(table)
+    rows = template(table)
     assert rows.shape == (4, 8)
-    again = dsp.template_context_rows(TokenTable(d_tok=8, seed=0))
+    again = template(TokenTable(d_tok=8, seed=0))
     assert np.array_equal(rows, again)
     assert np.array_equal(rows[1:2], table.row("photo"))
     assert np.array_equal(rows[0], rows[3])  # "a" twice

@@ -174,8 +174,6 @@ def test_wgm_context_rows_shapes_and_errors():
            + prompt.u[5].data.astype(np.float64)) / 2).astype(np.float32)],
         axis=0)
     np.testing.assert_array_equal(rows, manual)
-    with pytest.raises(ValueError):
-        ev.wgm_context_rows(None)
     empty = DspParams(m1=1, m2=2, d_tok=8,
                       v=nc.Tensor(np.zeros((1, 8), np.float32)))
     with pytest.raises(ValueError, match="source domains"):

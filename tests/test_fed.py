@@ -8,7 +8,7 @@ import pytest
 from fdglab import config as cf
 from fdglab import datagen as dg
 from fdglab import fed
-from fdglab.dsp import make_prompt_params, template_context_rows
+from fdglab.dsp import HDP_WORDS, make_prompt_params
 from fdglab.encoder import TokenTable
 from fdglab.promptgan import GanParams
 
@@ -158,30 +158,34 @@ def test_message_validation():
 # ---------------------------------------------------------------------------
 # partitioning
 
+def holders(part, domain):
+    return sorted(c for c, doms in part.items() if domain in doms)
+
+
 def test_partition_four_clients_no_overlap():
     part = fed.partition_domains(4, 4, 0.0, seed=0)
-    assert sorted(len(s) for s in part.assignments.values()) == [1, 1, 1, 1]
-    assert set().union(*part.assignments.values()) == {0, 1, 2, 3}
+    assert sorted(len(s) for s in part.values()) == [1, 1, 1, 1]
+    assert set().union(*part.values()) == {0, 1, 2, 3}
 
 
 def test_partition_half_overlap_two_clients():
     part = fed.partition_domains(4, 2, 0.5, seed=0)
-    counts = {d: len(part.holders(d)) for d in range(4)}
+    counts = {d: len(holders(part, d)) for d in range(4)}
     assert sorted(counts.values()) == [1, 1, 2, 2]
     for d, n in counts.items():
         if n == 2:
-            assert part.holders(d) == [0, 1]
+            assert holders(part, d) == [0, 1]
 
 
 def test_partition_single_client_gets_all():
     part = fed.partition_domains(3, 1, 0.0, seed=5)
-    assert part.assignments[0] == {0, 1, 2}
+    assert part == {0: {0, 1, 2}}
 
 
 def test_partition_deterministic():
     a = fed.partition_domains(6, 3, 0.5, seed=9)
     b = fed.partition_domains(6, 3, 0.5, seed=9)
-    assert a.assignments == b.assignments
+    assert a == b
 
 
 def test_partition_infeasible():
@@ -206,10 +210,11 @@ def test_partition_invariants_random(rng):
             continue
         c = int(rng.integers(lo, max_clients + 1))
         part = fed.partition_domains(n, c, r, seed=int(rng.integers(1000)))
-        counts = {d: len(part.holders(d)) for d in range(n)}
+        assert sorted(part) == list(range(c))
+        counts = {d: len(holders(part, d)) for d in range(n)}
         assert all(v in (1, 2) for v in counts.values())
         assert sum(1 for v in counts.values() if v == 2) == n_shared
-        assert all(len(s) >= 1 for s in part.assignments.values())
+        assert all(len(s) >= 1 for s in part.values())
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +389,7 @@ def test_trainer_hdp_skips_stage1():
     tr = fed.FederatedTrainer(cfg, small_ds(cfg), target_domain=0)
     tr.run_all()
     assert all(e["stage"] == 2 for e in tr.log)
-    assert tr.server_prompt is None
+    assert tr.server_prompt.named() == {}
     assert tr.lineage["batch_samples"] == 0
     assert all(path == "bypass" for _, path in tr.history.route_counts)
     assert tr.server_gan is not None
@@ -484,9 +489,8 @@ def test_trainer_checkpoint_restore(tmp_path, mode):
         assert fresh.server_entries()[name].tobytes() == arr.tobytes()
     assert (fresh.server_gan is None) == (mode == "wgm")
     for old, new in zip(tr.clients, fresh.clients):
-        if old.prompt is not None:
-            for name, t in old.prompt.named().items():
-                assert new.prompt.named()[name].data.tobytes() == t.data.tobytes()
+        for name, t in old.prompt.named().items():
+            assert new.prompt.named()[name].data.tobytes() == t.data.tobytes()
 
 
 def test_trainer_target_domain_validation():
@@ -496,21 +500,39 @@ def test_trainer_target_domain_validation():
         fed.FederatedTrainer(cfg, ds, target_domain=7)
 
 
+def mode_gan(mode, **overrides):
+    """new_gan for a mode, sized by the trainer's server prompt."""
+    cfg = small_cfg(prompt_mode=mode, **overrides)
+    table = TokenTable(d_tok=cfg.d_tok, seed=cfg.seed_model)
+    prompt = make_prompt_params(mode, [0, 1], cfg.m1, cfg.m2, cfg.d_tok,
+                                cfg.seed_model, table)
+    return fed.new_gan(cfg, prompt)
+
+
 def test_gan_rows_for_mode():
-    assert fed.new_gan(small_cfg(prompt_mode="dsp")).n_rows == 4
-    assert fed.new_gan(small_cfg(prompt_mode="csp")).n_rows == 2
-    assert fed.new_gan(small_cfg(prompt_mode="hdp")).n_rows == 4
-    assert fed.new_gan(small_cfg(m1=3, m2=1)).n_rows == 4
+    assert mode_gan("dsp").n_rows == 4
+    assert mode_gan("csp").n_rows == 2
+    assert mode_gan("hdp").n_rows == 4
+    assert mode_gan("dsp", m1=3, m2=1).n_rows == 4
     cfg = small_cfg()
-    gan = fed.new_gan(cfg)
+    gan = mode_gan("dsp")
     assert (gan.d_tok, gan.d, gan.z_dim, gan.h, gan.seed) == (
         cfg.d_tok, cfg.d, cfg.z_dim, cfg.gan_hidden, cfg.seed_model)
 
 
 def test_hdp_gan_rows_match_template():
+    assert mode_gan("hdp", m1=3, m2=5).n_rows == len(HDP_WORDS)
+
+
+def test_hdp_bank_contexts_are_the_template():
     cfg = small_cfg(prompt_mode="hdp")
-    table = TokenTable(d_tok=cfg.d_tok, seed=cfg.seed_model)
-    assert fed.new_gan(cfg).n_rows == template_context_rows(table).shape[0]
+    tr = fed.FederatedTrainer(cfg, small_ds(cfg), target_domain=0)
+    tr.run_stage2()
+    template = np.concatenate([tr.table.row(w) for w in HDP_WORDS], axis=0)
+    contexts = [ctx for c in tr.clients for ctx in c.bank.contexts.values()]
+    assert len(contexts) == len(tr.source_domains)
+    assert all(ctx.dtype == np.float32
+               and ctx.tobytes() == template.tobytes() for ctx in contexts)
 
 
 def test_named_and_apply_named():

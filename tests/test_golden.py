@@ -66,6 +66,17 @@ GOLDEN = {
         "stage1": "37059606f8ac63882d61cff1c36ac318",
         "report": "693ed27b72dbc52404916ae30734bd55",
     },
+    "csp": {
+        "stage1": "a516edc81dadd4b9b07b7dc2bef56efe",
+        "stage2": "baf976dcdb08e74179c62580cb24580c",
+        "report": "189aba8f6658e8df3cb7b9cd1594544e",
+    },
+    "hdp": {
+        # no stage 1: the digest of an empty entry set
+        "stage1": "cae66941d9efbd404e4d88758ea67670",
+        "stage2": "67067ddca28e72f32fdac8912e6e92fd",
+        "report": "9572cb32934445fe0e588428d5044c44",
+    },
 }
 
 
@@ -75,3 +86,11 @@ def test_dsp_digests_match_golden():
 
 def test_wgm_digests_match_golden():
     assert staged_digests("wgm") == GOLDEN["wgm"]
+
+
+def test_csp_digests_match_golden():
+    assert staged_digests("csp") == GOLDEN["csp"]
+
+
+def test_hdp_digests_match_golden():
+    assert staged_digests("hdp") == GOLDEN["hdp"]
