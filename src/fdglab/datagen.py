@@ -320,6 +320,11 @@ def load_dataset(path) -> DomainDataset:
     ids = [entry["id"] for entry in manifest["domains"]]
     if len(set(ids)) != len(ids):
         raise DatasetFormatError(f"repeated domain ids: {ids}")
+    classes = manifest["classes"]
+    for i, name in enumerate(classes):
+        if not name or name in classes[:i]:
+            raise DatasetFormatError(
+                f"class {i}: {'repeated' if name else 'empty'} name {name!r}")
 
     blobs = []
     for entry in manifest["domains"]:
@@ -354,7 +359,7 @@ def load_dataset(path) -> DomainDataset:
             raise DatasetFormatError(
                 f"domain {entry['id']}: {labels.shape[0]} labels for "
                 f"{features.shape[0]} rows")
-        if labels.size and labels.max() >= len(manifest["classes"]):
+        if labels.size and labels.max() >= len(classes):
             raise DatasetFormatError(
                 f"domain {entry['id']}: label out of range")
         feats.append(features)
@@ -365,7 +370,7 @@ def load_dataset(path) -> DomainDataset:
         name=manifest["name"],
         feature_dim=dim,
         domains=domains,
-        classes=list(manifest["classes"]),
+        classes=list(classes),
         features=np.concatenate(feats, axis=0),
         domain_ids=np.concatenate(doms),
         class_ids=np.concatenate(labs),

@@ -51,7 +51,6 @@ class DspParams:
 
     m1: int
     m2: int
-    d_tok: int
     v: nc.Tensor | None
     u: dict[int, nc.Tensor] = field(default_factory=dict)
 
@@ -101,8 +100,7 @@ def make_prompt_params(mode: str, domains, m1: int = 4, m2: int = 4,
         if table is None:
             raise ValueError("hdp needs the token table for its template")
         rows = np.concatenate([table.row(w) for w in HDP_WORDS], axis=0)
-        return DspParams(m1=len(HDP_WORDS), m2=0, d_tok=table.d_tok,
-                         v=nc.Tensor(rows))
+        return DspParams(m1=len(HDP_WORDS), m2=0, v=nc.Tensor(rows))
     if mode == "csp":
         m2 = 0
     rng_v = np.random.default_rng(np.random.SeedSequence((seed, _STREAM_V)))
@@ -115,7 +113,7 @@ def make_prompt_params(mode: str, domains, m1: int = 4, m2: int = 4,
             u[int(d)] = nc.Tensor(
                 rng_u.normal(0.0, INIT_STD, (m2, d_tok)).astype(np.float32),
                 requires_grad=True)
-    return DspParams(m1=m1, m2=m2, d_tok=d_tok, v=v, u=u)
+    return DspParams(m1=m1, m2=m2, v=v, u=u)
 
 
 def similarity_logits(g: nc.Graph, prompt_embs, image_embs: nc.Tensor,

@@ -39,24 +39,6 @@ CSV_COLUMNS = ("protocol", "target_domain", "accuracy", "macro_f1", "seed",
                "config_hash")
 
 
-@dataclass
-class Prediction:
-    """Class probabilities for one image; ties go to the lowest index."""
-
-    probs: np.ndarray
-    predicted: int
-
-    def __post_init__(self):
-        self.probs = np.asarray(self.probs, dtype=np.float64).reshape(1, -1)
-        if abs(self.probs.sum() - 1.0) > 1e-6:
-            raise ValueError("probabilities must sum to 1")
-
-
-def prediction_from_probs(probs: np.ndarray) -> Prediction:
-    probs = np.asarray(probs, dtype=np.float64).reshape(1, -1)
-    return Prediction(probs=probs, predicted=int(np.argmax(probs[0])))
-
-
 def _softmax(logits: np.ndarray) -> np.ndarray:
     x = np.asarray(logits, dtype=np.float64).ravel()
     e = np.exp(x - x.max())
@@ -244,8 +226,9 @@ class InferenceModel:
         return encode_text(nc.Graph(), self.enc, nc.Tensor(
             pooled.reshape(-1, pooled.shape[2]))).data
 
-    def predict_from_emb(self, image_emb: np.ndarray) -> Prediction:
-        """Class probabilities for one (1, d) unit-norm image embedding."""
+    def predict_from_emb(self, image_emb: np.ndarray) -> np.ndarray:
+        """The (1, K) float64 class probabilities of one (1, d) unit-norm
+        image embedding, from logits averaged over the context blocks."""
         if self.mode == "wgm":
             contexts = self._wgm_contexts
         else:
@@ -263,16 +246,18 @@ class InferenceModel:
         # w @ x.T; one (M*K, d) @ (d, 1) product rounds differently
         logits = np.matmul(embs[:, None, :], image_emb.T).reshape(
             contexts.shape[0], len(self.classes)).astype(np.float64) / self.tau
-        return prediction_from_probs(_softmax(logits.mean(axis=0)))
+        return _softmax(logits.mean(axis=0))
 
 
 def _domain_row(model: InferenceModel, ds: DomainDataset,
                 target_domain: int) -> dict:
+    """One report row; each image gets its most probable class, and an
+    exact tie goes to the lowest class index (``np.argmax``'s rule)."""
     idx = ds.domain_indices(target_domain)
     if idx.size == 0:
         raise ValueError(f"empty target set for domain {target_domain}")
     embs = encode_image(model.enc, ds.features[idx])
-    preds = [model.predict_from_emb(embs[i:i + 1]).predicted
+    preds = [int(np.argmax(model.predict_from_emb(embs[i:i + 1])))
              for i in range(embs.shape[0])]
     acc, f1 = accuracy_and_macro_f1(ds.class_ids[idx], preds,
                                     len(model.classes))

@@ -484,6 +484,13 @@ class FederatedTrainer:
             ds.feature_dim, cfg.d, cfg.d_tok, seed=cfg.seed_model)
         self.table = table if table is not None else TokenTable(
             cfg.d_tok, seed=cfg.seed_model)
+        for name, got, want in (
+                ("enc.feature_dim", self.enc.feature_dim, ds.feature_dim),
+                ("enc.d", self.enc.d, cfg.d),
+                ("enc.d_tok", self.enc.d_tok, cfg.d_tok),
+                ("table.d_tok", self.table.d_tok, cfg.d_tok)):
+            if got != want:
+                raise ValueError(f"{name} is {got}, the run needs {want}")
         self.classes = list(ds.classes)
         self.partition = partition_domains(
             len(self.source_domains), cfg.n_clients, cfg.overlap,

@@ -99,9 +99,11 @@ class _Node:
 class Graph:
     """Tape of recorded ops, in execution order.
 
-    Ops append a node only when some input requires grad, so inference
-    through a Graph records nothing. One Graph belongs to one thread; a
-    fresh Graph per training step is the intended usage.
+    Ops append a node only when some input requires grad, so a pass
+    through trainable weights records nodes even when no backward
+    follows: the generator's pass at inference and in the D step does
+    (ROADMAP item 6). One Graph belongs to one thread; a fresh Graph per
+    training step is the intended usage.
     """
 
     __slots__ = ("nodes",)

@@ -244,12 +244,12 @@ def stage1_cases(seed: int):
         return nc.row_mean(g, nc.softmax_cross_entropy(g, logits, labels))
 
     def wrt_v(g, vt):
-        p = dsp.DspParams(m1=2, m2=1, d_tok=6, v=vt,
+        p = dsp.DspParams(m1=2, m2=1, v=vt,
                           u={0: nc.Tensor(u0), 1: nc.Tensor(u1)})
         return batch_loss(g, p)
 
     def wrt_u(g, ut):
-        p = dsp.DspParams(m1=2, m2=1, d_tok=6, v=nc.Tensor(v0),
+        p = dsp.DspParams(m1=2, m2=1, v=nc.Tensor(v0),
                           u={0: ut, 1: nc.Tensor(u1)})
         return batch_loss(g, p)
 

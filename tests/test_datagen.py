@@ -216,3 +216,16 @@ def test_repeated_domain_ids_rejected(tmp_path, ds):
     (root / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(dg.DatasetFormatError, match="repeated domain ids"):
         dg.load_dataset(root)
+
+
+@pytest.mark.parametrize("name, match", [
+    ("class_00", "class 1: repeated name 'class_00'"),
+    ("", "class 1: empty name ''"),
+])
+def test_bad_class_names_rejected(tmp_path, ds, name, match):
+    root = dg.save_dataset(ds, tmp_path / "ds")
+    manifest = json.loads((root / "manifest.json").read_text())
+    manifest["classes"][1] = name
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(dg.DatasetFormatError, match=match):
+        dg.load_dataset(root)

@@ -39,7 +39,7 @@ def test_make_params_modes():
     with pytest.raises(ValueError):
         dsp.make_prompt_params("foo", domains=[0])
     with pytest.raises(ValueError):
-        dsp.DspParams(m1=0, m2=0, d_tok=8, v=None)
+        dsp.DspParams(m1=0, m2=0, v=None)
 
 
 def test_make_params_deterministic():
@@ -59,7 +59,7 @@ def test_assemble_prompt_row_order():
     a = np.full((1, 4), 1.0, dtype=np.float32)
     b = np.full((1, 4), 2.0, dtype=np.float32)
     c = np.full((1, 4), 3.0, dtype=np.float32)
-    p = dsp.DspParams(m1=1, m2=1, d_tok=4,
+    p = dsp.DspParams(m1=1, m2=1,
                       v=nc.Tensor(a, requires_grad=True),
                       u={0: nc.Tensor(b, requires_grad=True)})
     out = prompt_rows(p, 0, nc.Tensor(c))
@@ -90,7 +90,7 @@ def test_classify_contracts(setup):
     def probs(names, emb, tau=0.05):
         model = InferenceModel(enc=enc, table=table, classes=names, tau=tau,
                                mode="wgm", prompt=p)
-        return model.predict_from_emb(emb.reshape(1, -1)).probs
+        return model.predict_from_emb(emb.reshape(1, -1))
 
     out = probs(classes, embs[0])
     assert out.shape == (1, 3)

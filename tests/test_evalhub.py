@@ -55,16 +55,6 @@ def test_macro_f1_perfect_and_errors():
         ev.accuracy_and_macro_f1([0, 1], [0], k=2)
 
 
-def test_prediction_contracts():
-    p = ev.prediction_from_probs([0.5, 0.3, 0.2])
-    assert p.predicted == 0
-    # exact tie goes to the lowest index
-    p = ev.prediction_from_probs([0.4, 0.4, 0.2])
-    assert p.predicted == 0
-    with pytest.raises(ValueError):
-        ev.Prediction(probs=np.array([0.5, 0.3]), predicted=0)
-
-
 # ---------------------------------------------------------------------------
 # inference path: InferenceModel built directly
 
@@ -109,8 +99,8 @@ def test_constant_generator_matches_wgm():
         x = rng.normal(0, 3, 16).astype(np.float32)
         a = predict(generative, x)
         b = predict(wgm, x)
-        assert a.predicted == b.predicted
-        np.testing.assert_allclose(a.probs, b.probs, rtol=0, atol=1e-9)
+        assert np.argmax(a) == np.argmax(b)
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("mode", ["dsp", "wgm"])
@@ -139,7 +129,7 @@ def test_scoring_matches_per_prompt_path(mode):
         np.testing.assert_array_equal(model._class_embeddings(contexts), ref)
         logits = np.array([(w[None] @ emb.T).item() / model.tau for w in ref])
         probs = ev._softmax(logits.reshape(len(contexts), 3).mean(axis=0))
-        np.testing.assert_array_equal(model.predict_from_emb(emb).probs, probs)
+        np.testing.assert_array_equal(model.predict_from_emb(emb), probs)
 
 
 def test_tau_rescales_but_argmax_invariant():
@@ -151,9 +141,9 @@ def test_tau_rescales_but_argmax_invariant():
                                z_policy="fixed-zero"), x)
     soft = predict(make_model(enc, table, classes, gan=gan, tau=0.5,
                               z_policy="fixed-zero"), x)
-    assert sharp.predicted == soft.predicted
-    assert sharp.probs.max() > soft.probs.max()
-    assert not np.allclose(sharp.probs, soft.probs)
+    assert np.argmax(sharp) == np.argmax(soft)
+    assert sharp.max() > soft.max()
+    assert not np.allclose(sharp, soft)
 
 
 def test_identical_class_tokens_give_uniform_probs():
@@ -161,7 +151,28 @@ def test_identical_class_tokens_give_uniform_probs():
     model = make_model(enc, table, ["same", "same", "same"], mode="wgm",
                        prompt=prompt)
     p = predict(model, np.ones(16, np.float32))
-    np.testing.assert_allclose(p.probs, np.full((1, 3), 1 / 3), atol=1e-12)
+    np.testing.assert_allclose(p, np.full((1, 3), 1 / 3), atol=1e-12)
+
+
+def test_identical_class_tokens_tie_to_class_zero():
+    # every class prompt is the same, so each image's probabilities tie
+    # exactly; scoring must then assign the lowest class index. With
+    # every label set to 0, accuracy is 1 only if every image gets 0.
+    cfg = small_cfg()
+    ds = ev.dataset_from_config(cfg)
+    zero = dg.DomainDataset(
+        name=ds.name, feature_dim=ds.feature_dim, domains=ds.domains,
+        classes=ds.classes, features=ds.features, domain_ids=ds.domain_ids,
+        class_ids=np.zeros_like(ds.class_ids))
+    enc, table, prompt = tiny_parts()
+    model = make_model(enc, table, ["same"] * cfg.classes, mode="wgm",
+                       prompt=prompt)
+    embs = encode_image(enc, ds.features[ds.domain_indices(0)])
+    for i in range(embs.shape[0]):
+        row = model.predict_from_emb(embs[i:i + 1])
+        assert (row == row[0, 0]).all()
+    rep = ev.evaluate(model, zero, 0)
+    assert rep.rows[0]["accuracy"] == 1.0
 
 
 def test_wgm_context_rows_shapes_and_errors():
@@ -174,7 +185,7 @@ def test_wgm_context_rows_shapes_and_errors():
            + prompt.u[5].data.astype(np.float64)) / 2).astype(np.float32)],
         axis=0)
     np.testing.assert_array_equal(rows, manual)
-    empty = DspParams(m1=1, m2=2, d_tok=8,
+    empty = DspParams(m1=1, m2=2,
                       v=nc.Tensor(np.zeros((1, 8), np.float32)))
     with pytest.raises(ValueError, match="source domains"):
         ev.wgm_context_rows(empty)
@@ -192,7 +203,7 @@ def test_z_policies_differ_and_validate():
     x = np.ones(16, np.float32)
     classes = ["ant", "bee", "cat"]
     outs = {zp: predict(make_model(enc, table, classes, gan=gan, z_policy=zp,
-                                   z_samples=4), x).probs
+                                   z_samples=4), x)
             for zp in cf.Z_POLICIES}
     assert not np.allclose(outs["fixed-zero"], outs["mean-of-samples"])
     with pytest.raises(ValueError, match="z_policy"):
@@ -207,7 +218,7 @@ def test_prediction_is_deterministic():
                                z_policy="mean-of-samples", z_samples=4,
                                z_seed=9), x)
             for _ in range(2))
-    np.testing.assert_array_equal(a.probs, b.probs)
+    np.testing.assert_array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +366,7 @@ def test_from_trainer_respects_class_override():
     model = ev.InferenceModel.from_trainer(trainer, classes=["x", "y"])
     assert model.classes == ["x", "y"]
     pred = predict(model, np.ones(16, np.float32))
-    assert pred.probs.shape == (1, 2)
+    assert pred.shape == (1, 2)
     with pytest.raises(ValueError, match="two classes"):
         ev.InferenceModel.from_trainer(trainer, classes=["x"])
 

@@ -9,7 +9,7 @@ from fdglab import config as cf
 from fdglab import datagen as dg
 from fdglab import fed
 from fdglab.dsp import HDP_WORDS, make_prompt_params
-from fdglab.encoder import TokenTable
+from fdglab.encoder import FrozenEncoders, TokenTable
 from fdglab.promptgan import GanParams
 
 
@@ -498,6 +498,18 @@ def test_trainer_target_domain_validation():
     ds = small_ds(cfg)
     with pytest.raises(ValueError, match="not in dataset"):
         fed.FederatedTrainer(cfg, ds, target_domain=7)
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"table": TokenTable(d_tok=6)}, "table.d_tok"),
+    ({"enc": FrozenEncoders(16, d=8, d_tok=6)}, "enc.d_tok"),
+    ({"enc": FrozenEncoders(16, d=6, d_tok=8)}, "enc.d"),
+    ({"enc": FrozenEncoders(6, d=8, d_tok=8)}, "enc.feature_dim"),
+])
+def test_trainer_refuses_mismatched_encoders_and_table(kwargs, field):
+    cfg = small_cfg()  # feature_dim 16, d 8, d_tok 8
+    with pytest.raises(ValueError, match=f"{field} is 6"):
+        fed.FederatedTrainer(cfg, small_ds(cfg), target_domain=0, **kwargs)
 
 
 def mode_gan(mode, **overrides):
