@@ -1,10 +1,12 @@
 """Wire format and checkpoints: what actually crosses the network.
 
 Client uploads and server checkpoints share one binary frame: magic,
-version, round, sender, sorted named float32 arrays, and a checksum
-over the whole frame. A single flipped byte anywhere is caught at
-parse time. Server state saved as a frame restores bit-exactly, so an
-evaluation resumed from a checkpoint matches the live model.
+version (2), round, sender, sorted named float32 arrays, and an 8-byte
+blake2b digest of everything before it. Version-1 frames, closed by an
+FNV-1a 64 checksum, still load. A single flipped byte anywhere is caught
+at parse time, before any entry is decoded. Server state saved as a
+frame restores bit-exactly, so an evaluation resumed from a checkpoint
+matches the live model.
 """
 
 import tempfile

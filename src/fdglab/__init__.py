@@ -6,7 +6,6 @@ generation (stage 2), momentum-smoothed federated aggregation between
 rounds, and generator-driven inference on held-out domains.
 """
 
-from . import cli
 from . import config
 from . import datagen
 from . import dsp

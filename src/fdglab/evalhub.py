@@ -252,16 +252,23 @@ class InferenceModel:
 def _domain_row(model: InferenceModel, ds: DomainDataset,
                 target_domain: int) -> dict:
     """One report row; each image gets its most probable class, and an
-    exact tie goes to the lowest class index (``np.argmax``'s rule)."""
+    exact tie goes to the lowest class index (``np.argmax``'s rule).
+    Raises ValueError if any probability row is not finite, as a
+    diverged generator's are, rather than let argmax pick class 0."""
     idx = ds.domain_indices(target_domain)
     if idx.size == 0:
         raise ValueError(f"empty target set for domain {target_domain}")
-    embs = encode_image(model.enc, ds.features[idx])
-    preds = [int(np.argmax(model.predict_from_emb(embs[i:i + 1])))
-             for i in range(embs.shape[0])]
-    acc, f1 = accuracy_and_macro_f1(ds.class_ids[idx], preds,
-                                    len(model.classes))
     name = dict(ds.domains)[target_domain]
+    embs = encode_image(model.enc, ds.features[idx])
+    probs = np.concatenate([model.predict_from_emb(embs[i:i + 1])
+                            for i in range(embs.shape[0])])
+    bad = int(np.count_nonzero(~np.isfinite(probs).all(axis=1)))
+    if bad:
+        raise ValueError(f"domain {name}: {bad} of {len(probs)} probability "
+                         f"rows are not finite")
+    acc, f1 = accuracy_and_macro_f1(ds.class_ids[idx],
+                                    np.argmax(probs, axis=1),
+                                    len(model.classes))
     return {"target_domain": name, "domain_id": int(target_domain),
             "accuracy": acc, "macro_f1": f1, "n": int(idx.size)}
 

@@ -16,12 +16,15 @@ assert no name ever takes the wrong path.
 ParamMessage doubles as the on-disk checkpoint format. Wire layout, all
 integers little-endian: magic "FDSP", format version u16, round u32,
 sender u32, entry count u32, then per entry name length u16 + UTF-8 name
-+ rank u8 + dims u32[rank] + payload f32; an FNV-1a 64-bit checksum of
-every preceding byte closes the message.
++ rank u8 + dims u32[rank] + payload f32; the 8-byte checksum of every
+preceding byte closes the message. Version 2, the only one written, uses
+the blake2b digest (digest_size 8); version 1 files, closed by FNV-1a
+64, are still read, so old checkpoints load.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,7 +40,7 @@ from .encoder import FrozenEncoders, TokenTable, encode_image
 from .promptgan import GanParams, RealPromptBank, gan_train_step
 
 MESSAGE_MAGIC = b"FDSP"
-MESSAGE_VERSION = 1
+MESSAGE_VERSION = 2
 SERVER_SENDER = 0xFFFFFFFF
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -78,6 +81,8 @@ class RoundError(FedError):
 
 
 def fnv1a64(data: bytes) -> int:
+    """FNV-1a 64 of data: the checksum of version-1 messages, which are
+    read but never written."""
     h = _FNV_OFFSET
     for b in data:
         h = ((h ^ b) * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
@@ -128,22 +133,33 @@ def serialize_message(msg: ParamMessage) -> bytes:
         buf += struct.pack("<B", arr.ndim)
         buf += struct.pack(f"<{arr.ndim}I", *arr.shape)
         buf += arr.astype("<f4", copy=False).tobytes(order="C")
-    buf += struct.pack("<Q", fnv1a64(bytes(buf)))
+    with memoryview(buf) as view:  # no copy; released before buf grows
+        digest = _blake2b64(view)
+    buf += digest
     return bytes(buf)
+
+
+def _blake2b64(data) -> bytes:
+    return hashlib.blake2b(data, digest_size=8).digest()
 
 
 def deserialize_message(data: bytes) -> ParamMessage:
     if len(data) < 26 or data[:4] != MESSAGE_MAGIC:
         raise MessageFormatError("not a parameter message")
-    (stated,) = struct.unpack_from("<Q", data, len(data) - 8)
-    actual = fnv1a64(data[:-8])
+    version, rnd, sender = struct.unpack_from("<HII", data, 4)
+    if version not in (1, MESSAGE_VERSION):
+        raise MessageVersionError(
+            f"unsupported message version {version} (reads 1 and {MESSAGE_VERSION})")
+    body = memoryview(data)[:-8]
+    stated = data[-8:]
+    if version == 1:
+        actual = struct.pack("<Q", fnv1a64(body))
+    else:
+        actual = _blake2b64(body)
     if stated != actual:
         raise MessageChecksumError(
-            f"checksum mismatch: stated {stated:#x}, computed {actual:#x}")
-    version, rnd, sender = struct.unpack_from("<HII", data, 4)
-    if version != MESSAGE_VERSION:
-        raise MessageVersionError(
-            f"unsupported message version {version} (expected {MESSAGE_VERSION})")
+            f"v{version} checksum mismatch: stated {stated.hex()}, "
+            f"computed {actual.hex()}")
     (count,) = struct.unpack_from("<I", data, 14)
     if count == 0:
         raise MessageFormatError("message has no entries")

@@ -1,6 +1,10 @@
 """End-to-end CLI tests over tiny configurations."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,22 @@ TINY = ["--classes", "3", "--domains", "3", "--shots", "4",
 
 def run(*argv):
     return cli.main(list(argv))
+
+
+def test_module_entry_runs_without_warnings(tmp_path):
+    # an eager import of cli from the package made `-m fdglab.cli` warn,
+    # and without __main__.py `-m fdglab` did not run at all
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parents[1] / "src"),
+        env.get("PYTHONPATH")]))
+    for module in ("fdglab", "fdglab.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", module,
+             "--help"], cwd=tmp_path, env=env, capture_output=True,
+            text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert "usage: fdglab" in proc.stdout
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,21 @@ def test_identical_class_tokens_tie_to_class_zero():
     assert rep.rows[0]["accuracy"] == 1.0
 
 
+def test_non_finite_scores_rejected():
+    # a diverged generator gives NaN rows; argmax would call them class 0
+    cfg = small_cfg()
+    ds = ev.dataset_from_config(cfg)
+    enc, table, _ = tiny_parts()
+    gan = GanParams(n_rows=4, d_tok=8, d=8, z_dim=4, h=8, seed=0)
+    gan.g_layers[-1][1].data[:] = np.nan
+    model = make_model(enc, table, ds.classes, gan=gan)
+    n = ds.domain_indices(1).size
+    name = dict(ds.domains)[1]
+    with pytest.raises(ValueError,
+                       match=f"domain {name}: {n} of {n} probability rows"):
+        ev.evaluate(model, ds, 1)
+
+
 def test_wgm_context_rows_shapes_and_errors():
     enc, table, prompt = tiny_parts(domains=(2, 5))
     rows = ev.wgm_context_rows(prompt)

@@ -1,5 +1,6 @@
 """Federation tests: wire format, partitioning, aggregation, rounds."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -53,7 +54,7 @@ def test_message_wire_layout_hand_checked():
     blob = fed.serialize_message(msg)
     assert blob[:4] == b"FDSP"
     version, rnd, sender = struct.unpack_from("<HII", blob, 4)
-    assert (version, rnd, sender) == (1, 3, 7)
+    assert (version, rnd, sender) == (2, 3, 7)
     (count,) = struct.unpack_from("<I", blob, 14)
     assert count == 1
     (name_len,) = struct.unpack_from("<H", blob, 18)
@@ -61,8 +62,7 @@ def test_message_wire_layout_hand_checked():
     assert blob[21] == 2  # rank
     assert struct.unpack_from("<2I", blob, 22) == (1, 2)
     assert blob[30:38] == np.array([[1.0, 2.0]], "<f4").tobytes()
-    (stated,) = struct.unpack_from("<Q", blob, len(blob) - 8)
-    assert stated == fed.fnv1a64(blob[:-8])
+    assert blob[-8:] == hashlib.blake2b(blob[:-8], digest_size=8).digest()
 
 
 def test_message_round_trip_random(rng):
@@ -96,12 +96,34 @@ def test_corruption_rejected(rng):
         fed.deserialize_message(b"NOPE" + bytes(blob[4:]))
 
 
+def _as_v1(blob: bytes) -> bytes:
+    """The same message in the version-1 layout: FNV-1a 64 trailer."""
+    body = bytearray(blob[:-8])
+    struct.pack_into("<H", body, 4, 1)
+    return bytes(body) + struct.pack("<Q", fed.fnv1a64(bytes(body)))
+
+
+def test_v1_message_still_loads(rng):
+    msg = random_message(rng, sender=5, round_=42)
+    back = fed.deserialize_message(_as_v1(fed.serialize_message(msg)))
+    assert (back.sender, back.round) == (5, 42)
+    assert back.names() == msg.names()
+    for name in msg.names():
+        assert np.array_equal(back.entries[name], msg.entries[name])
+
+
+def test_v1_corruption_rejected(rng):
+    blob = bytearray(_as_v1(fed.serialize_message(random_message(rng))))
+    blob[len(blob) // 2] ^= 0x01
+    with pytest.raises(fed.MessageChecksumError):
+        fed.deserialize_message(bytes(blob))
+
+
 def test_version_rejected_even_with_valid_checksum(rng):
     blob = bytearray(fed.serialize_message(random_message(rng)))
     struct.pack_into("<H", blob, 4, 9)
-    struct.pack_into("<Q", blob, len(blob) - 8, fed.fnv1a64(bytes(blob[:-8])))
     with pytest.raises(fed.MessageVersionError):
-        fed.deserialize_message(bytes(blob))
+        fed.deserialize_message(_with_checksum(bytes(blob[:-8])))
 
 
 def test_unsorted_entries_rejected(rng):
@@ -113,13 +135,12 @@ def test_unsorted_entries_rejected(rng):
     body = bytearray(a[:14])
     body += struct.pack("<I", 2)
     body += a[18:-8] + b[18:-8]
-    body += struct.pack("<Q", fed.fnv1a64(bytes(body)))
     with pytest.raises(fed.MessageFormatError, match="sorted"):
-        fed.deserialize_message(bytes(body))
+        fed.deserialize_message(_with_checksum(bytes(body)))
 
 
 def _with_checksum(body: bytes) -> bytes:
-    return body + struct.pack("<Q", fed.fnv1a64(body))
+    return body + hashlib.blake2b(body, digest_size=8).digest()
 
 
 def test_checksummed_malformed_entries_rejected():
