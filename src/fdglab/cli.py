@@ -167,6 +167,13 @@ def cmd_train(args) -> int:
 
 
 def _eval_reports(args, cfg: cf.ExperimentConfig) -> tuple[str, list[ev.EvalReport]]:
+    if args.holdout is not None and not args.checkpoint:
+        raise CliError("--holdout applies only with --checkpoint")
+    if args.target and args.protocol != "cross-dataset":
+        raise CliError("--target applies only with --protocol cross-dataset")
+    if args.checkpoint and args.protocol == "cross-dataset":
+        raise CliError("--checkpoint cannot be combined with "
+                       "--protocol cross-dataset")
     if args.checkpoint:
         ds = ev.dataset_from_config(cfg)
         trainer = FederatedTrainer(cfg, ds, target_domain=args.holdout)

@@ -209,10 +209,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
     need(cfg.prompt_mode in PROMPT_MODES,
          f"prompt_mode must be one of {PROMPT_MODES}")
     need(cfg.m1 >= 0 and cfg.m2 >= 0, "context lengths must be >= 0")
-    if cfg.prompt_mode in ("dsp", "wgm"):
-        need(cfg.m1 + cfg.m2 >= 1, "need at least one context row")
-    if cfg.prompt_mode == "csp":
-        need(cfg.m1 >= 1, "csp needs m1 >= 1")
+    if cfg.prompt_mode != "hdp":
+        need(cfg.m1 >= 1, f"{cfg.prompt_mode} needs m1 >= 1 (the shared "
+             "context v)")
     need(2 <= cfg.d <= 512, "d must be in [2, 512]")
     need(cfg.d_tok >= 2, "d_tok must be >= 2")
     need(cfg.tau > 0, "tau must be positive")

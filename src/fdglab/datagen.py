@@ -80,7 +80,7 @@ MANIFEST_SCHEMA = {
                     "id": {"type": "integer", "minimum": 0},
                     "name": {"type": "string"},
                     "blob": {"type": "string"},
-                    "count": {"type": "integer", "minimum": 0},
+                    "count": {"type": "integer", "minimum": 1},
                 },
             },
         },
@@ -123,9 +123,12 @@ class DomainDataset:
         n = self.features.shape[0]
         if self.domain_ids.shape != (n,) or self.class_ids.shape != (n,):
             raise ValueError("ids must align with features")
-        valid_domains = {d for d, _ in self.domains}
-        if not set(np.unique(self.domain_ids)) <= valid_domains:
+        present = set(np.unique(self.domain_ids).tolist())
+        if not present <= {d for d, _ in self.domains}:
             raise ValueError("sample domain_id out of range")
+        for d, dname in self.domains:
+            if d not in present:
+                raise ValueError(f"domain {d} ({dname}) has no samples")
         if n and (self.class_ids.min() < 0 or self.class_ids.max() >= len(self.classes)):
             raise ValueError("sample class_id out of range")
 
@@ -326,21 +329,12 @@ def load_dataset(path) -> DomainDataset:
             raise DatasetFormatError(
                 f"class {i}: {'repeated' if name else 'empty'} name {name!r}")
 
-    blobs = []
-    for entry in manifest["domains"]:
-        data = _checked_read(root, entry["blob"], manifest["checksums"])
-        blobs.append(_unpack_blob(data, entry["blob"]))
-    dims = {f.shape[1] for f in blobs}
-    if len(dims) > 1:
-        detail = ", ".join(
-            f"domain {e['id']} ({e['name']}): {f.shape[1]}"
-            for e, f in zip(manifest["domains"], blobs))
-        raise DatasetFormatError(f"domains disagree on feature dim: {detail}")
-
     feats, doms, labs = [], [], []
     domains = []
-    for entry, features in zip(manifest["domains"], blobs):
+    for entry in manifest["domains"]:
         blob_name = entry["blob"]
+        features = _unpack_blob(
+            _checked_read(root, blob_name, manifest["checksums"]), blob_name)
         if features.shape[1] != dim:
             raise DatasetFormatError(
                 f"domain {entry['id']} ({entry['name']}): blob dim "
@@ -359,7 +353,7 @@ def load_dataset(path) -> DomainDataset:
             raise DatasetFormatError(
                 f"domain {entry['id']}: {labels.shape[0]} labels for "
                 f"{features.shape[0]} rows")
-        if labels.size and labels.max() >= len(classes):
+        if labels.max() >= len(classes):
             raise DatasetFormatError(
                 f"domain {entry['id']}: label out of range")
         feats.append(features)

@@ -2,10 +2,12 @@
 training.
 
 A prompt for class i in domain d is the row stack [v; u^d; cls_i]: shared
-context v, per-domain context u^d, frozen class token. Training scores a
-unit-norm image embedding against each class prompt's text embedding by
-cosine similarity over temperature tau and minimizes cross entropy of
-those scores, updating only v and the touched u rows.
+context v (m1 >= 1 rows, present in every mode), per-domain context u^d
+(m2 rows, none under csp and hdp), frozen class token; the text encoder
+reads a prompt only through its row-mean. Training scores a unit-norm
+image embedding against each class prompt's text embedding by cosine
+similarity over temperature tau and minimizes cross entropy of those
+scores, updating only v and the touched u rows.
 
 One training step builds, per domain in the batch, the K x d stack of its
 class-prompt embeddings (one ``encode_text`` call), then scores the whole
@@ -47,32 +49,31 @@ HDP_WORDS = ("a", "photo", "of", "a")
 
 @dataclass
 class DspParams:
-    """Prompt contexts for one client; hdp's v is the frozen template."""
+    """Prompt contexts for one client: v (m1 rows) always, u^d (m2 rows)
+    per held domain when m2 > 0; hdp's v is the frozen template."""
 
     m1: int
     m2: int
-    v: nc.Tensor | None
+    v: nc.Tensor
     u: dict[int, nc.Tensor] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.m1 < 0 or self.m2 < 0:
-            raise ValueError("m1 and m2 must be >= 0")
-        if self.m1 == 0 and self.m2 == 0:
-            raise ValueError("prompt needs at least one context row")
+        if self.m1 < 1 or self.m2 < 0:
+            raise ValueError("a prompt needs m1 >= 1 and m2 >= 0")
 
     def named(self) -> dict[str, nc.Tensor]:
         """Aggregation names of the trainable tensors: 'v' and
         'u/<domain_id>'. A frozen v is not listed."""
         out = {}
-        if self.v is not None and self.v.requires_grad:
+        if self.v.requires_grad:
             out["v"] = self.v
         for d in sorted(self.u):
             out[f"u/{d}"] = self.u[d]
         return out
 
     def context_parts(self, domain: int) -> list[nc.Tensor]:
-        """The context blocks [v, u^domain], skipping absent parts."""
-        parts = [self.v] if self.v is not None else []
+        """The context blocks [v, u^domain]; just [v] when m2 is 0."""
+        parts = [self.v]
         if self.m2 > 0:
             if domain not in self.u:
                 raise KeyError(f"no domain-specific context for domain {domain}")
@@ -105,7 +106,7 @@ def make_prompt_params(mode: str, domains, m1: int = 4, m2: int = 4,
         m2 = 0
     rng_v = np.random.default_rng(np.random.SeedSequence((seed, _STREAM_V)))
     v = nc.Tensor(rng_v.normal(0.0, INIT_STD, (m1, d_tok)).astype(np.float32),
-                  requires_grad=True) if m1 > 0 else None
+                  requires_grad=True)
     u = {}
     if m2 > 0:
         for d in sorted(set(domains)):
@@ -168,8 +169,7 @@ def dsp_train_step(p: DspParams, batch, enc: FrozenEncoders, table: TokenTable,
                                pick=[slot[d] for d, _, _ in batch])
     losses = nc.softmax_cross_entropy(g, logits, [y for _, y, _ in batch])
     total = nc.row_mean(g, losses)
-    params = ([p.v] if p.v is not None else []) + [
-        p.u[d] for d in domains if d in p.u]
+    params = [p.v] + [p.u[d] for d in domains if d in p.u]
     nc.reset_grads(params)
     nc.backward(g, total)
     opt.step(params)

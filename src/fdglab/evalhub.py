@@ -6,7 +6,7 @@ its embedding: each z draw gives a block of context rows, each prompt
 and scored against the image embedding by inner product over temperature
 (identical to cosine because both sides are unit-norm), and the logits
 are averaged over the blocks. The wgm variant skips the generator: its
-one block is the tuned [v; mean of the per-domain rows].
+one block, the tuned [v; mean of the per-domain rows], is encoded once.
 
 Protocols: leave-one-domain-out (train once per held-out domain) and
 cross-dataset transfer (train on every domain of one dataset, score each
@@ -58,9 +58,7 @@ def _draw_z(z_policy: str, z_samples: int, z_dim: int,
 
 def wgm_context_rows(dsps: DspParams) -> np.ndarray:
     """[v; mean over source domains of u^d] for generator-free inference."""
-    parts = []
-    if dsps.v is not None:
-        parts.append(dsps.v.data)
+    parts = [dsps.v.data]
     if dsps.m2 > 0:
         if not dsps.u:
             raise ValueError("no source domains to average")
@@ -187,7 +185,8 @@ class InferenceModel:
         # prediction a pure function of its inputs and makes per-image
         # evaluation order irrelevant.
         if self.mode == "wgm":
-            self._wgm_contexts = wgm_context_rows(self.prompt)[None]
+            self._wgm_embs = self._class_embeddings(
+                wgm_context_rows(self.prompt)[None])
         elif self.gan is not None:
             self._zs = _draw_z(self.z_policy, self.z_samples, self.gan.z_dim,
                                self.z_seed)
@@ -230,7 +229,7 @@ class InferenceModel:
         """The (1, K) float64 class probabilities of one (1, d) unit-norm
         image embedding, from logits averaged over the context blocks."""
         if self.mode == "wgm":
-            contexts = self._wgm_contexts
+            embs = self._wgm_embs
         else:
             gan = self.gan
             if gan is None:
@@ -241,11 +240,11 @@ class InferenceModel:
             contexts = generator_rows(
                 nc.Graph(), gan, nc.Tensor(zs), nc.Tensor(reps)).data.reshape(
                 zs.shape[0], gan.n_rows, gan.d_tok)
-        embs = self._class_embeddings(contexts)
+            embs = self._class_embeddings(contexts)
         # a stack of 1 x d by d x 1 products, each rounding like a lone
         # w @ x.T; one (M*K, d) @ (d, 1) product rounds differently
         logits = np.matmul(embs[:, None, :], image_emb.T).reshape(
-            contexts.shape[0], len(self.classes)).astype(np.float64) / self.tau
+            -1, len(self.classes)).astype(np.float64) / self.tau
         return _softmax(logits.mean(axis=0))
 
 
@@ -256,8 +255,6 @@ def _domain_row(model: InferenceModel, ds: DomainDataset,
     Raises ValueError if any probability row is not finite, as a
     diverged generator's are, rather than let argmax pick class 0."""
     idx = ds.domain_indices(target_domain)
-    if idx.size == 0:
-        raise ValueError(f"empty target set for domain {target_domain}")
     name = dict(ds.domains)[target_domain]
     embs = encode_image(model.enc, ds.features[idx])
     probs = np.concatenate([model.predict_from_emb(embs[i:i + 1])

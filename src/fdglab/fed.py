@@ -3,7 +3,8 @@
 Domains are dealt to clients with a configurable overlap ratio (a shared
 domain's data is held in full by two clients). Both training stages run
 the same round loop (FederatedTrainer._rounds): every client trains
-locally and uploads its holder's parameters as a ParamMessage, and the
+locally for a span set by the round's index (_ClientState._span_steps)
+and uploads its holder's parameters as a ParamMessage, and the
 server averages entry-wise and writes the result back into its own and
 every client's holder. A holder is the object whose named() gives a
 stage's parameters: the DspParams prompt contexts in stage 1, the
@@ -382,20 +383,24 @@ def apply_named(named: dict[str, nc.Tensor],
 
 
 class _ClientState:
-    """One client's data, parameters, optimizers, and rng streams."""
+    """One client's data (embedding, class-id and domain-id arrays, one
+    row per sample, domain-major), parameters, optimizers, rng streams."""
 
     def __init__(self, cid: int, domains, data_by_domain, cfg, table):
         self.id = cid
         self.domains = sorted(int(d) for d in domains)
         self.cfg = cfg
-        self.data = data_by_domain  # domain -> (embeddings (N, d), labels (N,))
-        self.samples = []
-        for d in self.domains:
-            embs, labels = data_by_domain[d]
-            for i in range(embs.shape[0]):
-                self.samples.append((d, int(labels[i]), embs[i]))
-        self.steps_per_epoch = max(
-            1, math.ceil(len(self.samples) / cfg.batch_size))
+        parts = [data_by_domain[d] for d in self.domains]
+        self.embs = np.concatenate([embs for embs, _ in parts])
+        self.labels = np.concatenate([labels for _, labels in parts])
+        self.domain_ids = np.repeat(self.domains,
+                                    [len(labels) for _, labels in parts])
+        n = len(self.labels)
+        self.steps_per_epoch = math.ceil(n / cfg.batch_size)
+        if cfg.epochs_per_round == 0.5 and self.steps_per_epoch < 2:
+            raise ValueError(
+                f"epochs_per_round 0.5 needs two batches per epoch; client "
+                f"{cid} holds {n} samples at batch_size {cfg.batch_size}")
         self.prompt = make_prompt_params(
             cfg.prompt_mode, self.domains, cfg.m1, cfg.m2, cfg.d_tok,
             cfg.seed_model, table)
@@ -409,38 +414,32 @@ class _ClientState:
             (cfg.seed_noise, _STREAM_BATCH, *self.domains)))
         self.gan_rng = np.random.default_rng(np.random.SeedSequence(
             (cfg.seed_noise, _STREAM_GAN, *self.domains)))
-        self._queue: list[list] = []
-        # steps owed for the second half of an epoch; 0 again when stage 2
-        # starts, since a 0.5-epoch run always has an even number of rounds
-        self._pending_steps = 0
+        self._queue: list[np.ndarray] = []
 
-    def _span_steps(self) -> int:
-        e = self.cfg.epochs_per_round
+    def _span_steps(self, rnd: int) -> int:
+        """Steps in round rnd of a stage; at 0.5 epochs per round, even
+        rounds run the first ceil(s/2) of an epoch's s steps, odd the rest."""
         s = self.steps_per_epoch
-        if e == 0.5:
-            if self._pending_steps:
-                k, self._pending_steps = self._pending_steps, 0
-            else:
-                k = math.ceil(s / 2)
-                self._pending_steps = s - k
-            return k
-        return int(e) * s
+        if self.cfg.epochs_per_round == 0.5:
+            first = math.ceil(s / 2)
+            return first if rnd % 2 == 0 else s - first
+        return int(self.cfg.epochs_per_round) * s
 
     # -- stage 1 ----------------------------------------------------------
     def _refill_queue(self):
-        order = self.batch_rng.permutation(len(self.samples))
+        order = self.batch_rng.permutation(len(self.labels))
         b = self.cfg.batch_size
-        self._queue = [
-            [self.samples[i] for i in order[lo:lo + b]]
-            for lo in range(0, len(order), b)]
+        self._queue = [order[lo:lo + b] for lo in range(0, len(order), b)]
 
-    def stage1_span(self, enc, table, classes, lineage) -> float:
+    def stage1_span(self, rnd, enc, table, classes, lineage) -> float:
         losses = []
         target = lineage["target_domain"]
-        for _ in range(self._span_steps()):
+        for _ in range(self._span_steps(rnd)):
             if not self._queue:
                 self._refill_queue()
-            batch = self._queue.pop(0)
+            idx = self._queue.pop(0)
+            batch = list(zip(self.domain_ids[idx].tolist(),
+                             self.labels[idx].tolist(), self.embs[idx]))
             lineage["batch_samples"] += len(batch)
             lineage["target_samples"] += sum(
                 1 for d, _, _ in batch if d == target)
@@ -453,16 +452,16 @@ class _ClientState:
     def start_stage2(self):
         cfg = self.cfg
         contexts = {d: self.prompt.context_rows(d) for d in self.domains}
-        embeddings = {d: self.data[d][0].copy() for d in self.domains}
+        embeddings = {d: self.embs[self.domain_ids == d] for d in self.domains}
         self.bank = RealPromptBank(contexts=contexts, embeddings=embeddings)
         self.gan = new_gan(cfg, self.prompt)
         self.opt_g = nc.AdamW(lr=cfg.lr_gan, weight_decay=cfg.weight_decay)
         self.opt_d = nc.AdamW(lr=cfg.lr_gan, weight_decay=cfg.weight_decay)
 
-    def stage2_span(self) -> tuple[float, float]:
+    def stage2_span(self, rnd) -> tuple[float, float]:
         cfg = self.cfg
         d_losses, g_losses = [], []
-        for _ in range(self._span_steps()):
+        for _ in range(self._span_steps(rnd)):
             real_ctx, real_emb, fake_emb = self.bank.sample_batch(
                 self.gan_rng, cfg.batch_size)
             d_l, g_l = gan_train_step(
@@ -522,26 +521,30 @@ class FederatedTrainer:
         for cid in range(cfg.n_clients):
             actual = [self.source_domains[i]
                       for i in sorted(self.partition[cid])]
-            data = {d: emb_by_domain[d] for d in actual}
-            self.clients.append(_ClientState(cid, actual, data, cfg,
-                                             self.table))
+            self.clients.append(_ClientState(cid, actual, emb_by_domain,
+                                             cfg, self.table))
         self.server_prompt = make_prompt_params(
             cfg.prompt_mode, self.source_domains, cfg.m1, cfg.m2, cfg.d_tok,
             cfg.seed_model, self.table)
         self.server_gan: GanParams | None = None
         self.history = AggHistory(cfg.alpha)
-        self.agg_events = 0
         self.log: list[dict] = []
 
+    @property
+    def agg_events(self) -> int:
+        """Aggregation events so far, over both stages: one per log entry."""
+        return len(self.log)
+
     def _rounds(self, stage: int, span, holder, server, on_round) -> None:
-        """The federated round, n_rounds times: every client runs span and
-        uploads holder(client)'s parameters; the server averages, blends
-        and writes the result into server and every client's holder."""
-        for _ in range(n_rounds(self.cfg)):
+        """The federated round, n_rounds times: every client runs
+        span(client, round index within the stage) and uploads
+        holder(client)'s parameters; the server averages, blends and
+        writes the result into server and every client's holder."""
+        for rnd in range(n_rounds(self.cfg)):
             msgs, losses = [], {}
             for client in self.clients:
                 try:
-                    losses[client.id] = span(client)
+                    losses[client.id] = span(client, rnd)
                     msgs.append(ParamMessage(
                         sender=client.id, round=self.agg_events,
                         entries={n: t.data
@@ -559,7 +562,6 @@ class FederatedTrainer:
                 "agg_norms": {n: float(np.linalg.norm(v))
                               for n, v in sorted(dist.items())},
             })
-            self.agg_events += 1
             for target in (server, *(holder(c) for c in self.clients)):
                 apply_named(target.named(), dist)
             if on_round is not None:
@@ -571,8 +573,8 @@ class FederatedTrainer:
         if not self.server_prompt.named():
             return
         self._rounds(
-            1, lambda c: c.stage1_span(self.enc, self.table, self.classes,
-                                       self.lineage),
+            1, lambda c, rnd: c.stage1_span(rnd, self.enc, self.table,
+                                            self.classes, self.lineage),
             lambda c: c.prompt, self.server_prompt, on_round)
 
     def run_stage2(self, on_round=None) -> None:
@@ -584,7 +586,7 @@ class FederatedTrainer:
         self.lineage["bank_domains"] = sorted(
             {d for c in self.clients for d in c.bank.domains})
         self.server_gan = new_gan(self.cfg, self.server_prompt)
-        self._rounds(2, lambda c: c.stage2_span(), lambda c: c.gan,
+        self._rounds(2, lambda c, rnd: c.stage2_span(rnd), lambda c: c.gan,
                      self.server_gan, on_round)
 
     def run_all(self, on_round=None) -> None:

@@ -59,6 +59,16 @@ def test_build_config_layering(tmp_path):
     assert (cfg.epochs, cfg.lr_prompt, cfg.m1, cfg.tau) == (100, 1e-5, 4, 0.01)
 
 
+def test_m1_zero_refused_except_under_hdp():
+    parser = cli.build_parser()
+    for mode in ("dsp", "csp", "wgm"):
+        args = parser.parse_args(["train", "--prompt-mode", mode, "--m1", "0"])
+        with pytest.raises(cf.ConfigError, match=f"{mode} needs m1 >= 1"):
+            cli.build_config(args)
+    args = parser.parse_args(["train", "--prompt-mode", "hdp", "--m1", "0"])
+    assert cli.build_config(args).m1 == 0  # hdp ignores m1
+
+
 def test_seed_flag_fans_out_and_yields():
     parser = cli.build_parser()
     cfg = cli.build_config(parser.parse_args(["train", "--seed", "9"]))
@@ -177,6 +187,20 @@ def test_eval_cross_dataset_needs_target(tmp_path, capsys):
     assert run("eval", *TINY, "--protocol", "cross-dataset",
                "--out", str(tmp_path)) == 1
     assert "--target" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, err", [
+    (["--holdout", "0"], "--holdout applies only with --checkpoint"),
+    (["--protocol", "cross-dataset", "--holdout", "0", "--target", "t"],
+     "--holdout applies only with --checkpoint"),
+    (["--target", "t"], "--target applies only with --protocol cross-dataset"),
+    (["--checkpoint", "final.msg", "--protocol", "cross-dataset",
+      "--target", "t"], "--checkpoint cannot be combined"),
+])
+def test_eval_refuses_ignored_flags(tmp_path, capsys, flags, err):
+    assert run("eval", *TINY, *flags, "--out", str(tmp_path)) == 1
+    assert err in capsys.readouterr().err
+    assert not (tmp_path / "eval").exists()
 
 
 def test_eval_cross_dataset_runs(tmp_path):

@@ -169,9 +169,10 @@ def test_header_length_mismatch_rejected(tmp_path, ds):
         dg.load_dataset(root)
 
 
-def test_dim_mismatch_names_every_domain(tmp_path, ds):
+def test_dim_mismatch_rejected(tmp_path, ds):
     root = dg.save_dataset(ds, tmp_path / "ds")
-    # rewrite one domain's blob with a narrower dim, checksum kept honest
+    # rewrite one domain's blob with a narrower dim, checksum kept honest;
+    # the blobs then disagree on dim, and the odd one out is named
     narrow = np.zeros((4, 8), dtype=np.float32)
     blob = dg._pack_blob(narrow)
     (root / "domain_2.f32").write_bytes(blob)
@@ -181,7 +182,24 @@ def test_dim_mismatch_names_every_domain(tmp_path, ds):
     manifest["checksums"]["domain_2.f32"] = dg._digest(blob)
     manifest["checksums"]["domain_2.f32.labels"] = dg._digest(labels)
     (root / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(dg.DatasetFormatError, match="domain 0.*domain 2"):
+    with pytest.raises(dg.DatasetFormatError,
+                       match="domain 2 .*blob dim 8 != manifest feature_dim 64"):
+        dg.load_dataset(root)
+
+
+def test_listed_domain_without_samples_rejected(tmp_path, ds):
+    keep = ds.domain_ids != 1
+    with pytest.raises(ValueError, match=r"domain 1 \(domain_1\) has no samples"):
+        dg.DomainDataset(
+            name=ds.name, feature_dim=ds.feature_dim, domains=ds.domains,
+            classes=ds.classes, features=ds.features[keep],
+            domain_ids=ds.domain_ids[keep], class_ids=ds.class_ids[keep])
+    # on disk, a domain whose count is 0 fails the manifest schema
+    root = dg.save_dataset(ds, tmp_path / "ds")
+    manifest = json.loads((root / "manifest.json").read_text())
+    manifest["domains"][1]["count"] = 0
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(dg.DatasetSchemaError, match="minimum of 1"):
         dg.load_dataset(root)
 
 

@@ -147,6 +147,24 @@ def test_train_step_touches_only_batch_domains(setup):
                            nc.Adam(lr=0.05))
 
 
+def test_train_step_moves_every_context_row_alike(setup):
+    # scoring mean-pools each prompt first, so every row of v and of a
+    # touched u^d gets the same gradient, and Adam the same step
+    enc, table, classes, embs = setup
+    p = dsp.make_prompt_params("dsp", domains=[0, 1, 2], m1=3, m2=2,
+                               d_tok=8, seed=0)
+    before = {k: t.data.copy() for k, t in p.named().items()}
+    batch = [(0, 0, embs[0]), (1, 2, embs[1]), (0, 1, embs[2])]
+    dsp.dsp_train_step(p, batch, enc, table, classes, nc.Adam(lr=0.05),
+                       tau=0.1)
+    for name in ("v", "u/0", "u/1"):
+        delta = p.named()[name].data - before[name]
+        assert np.linalg.norm(delta[0]) > 1e-3, name
+        np.testing.assert_allclose(delta, np.broadcast_to(delta[0], delta.shape),
+                                   rtol=0, atol=1e-6, err_msg=name)
+    np.testing.assert_array_equal(p.u[2].data, before["u/2"])
+
+
 def test_train_step_matches_per_sample_loop_bit_for_bit(setup):
     enc, table, classes, embs = setup
     batch = [(1, 2, embs[0]), (0, 0, embs[1]), (1, 1, embs[2]),

@@ -132,6 +132,65 @@ def test_scoring_matches_per_prompt_path(mode):
         np.testing.assert_array_equal(model.predict_from_emb(emb), probs)
 
 
+def test_wgm_encodes_class_prompts_once(monkeypatch):
+    calls, encode_text = [], ev.encode_text
+
+    def counted(*args):
+        calls.append(1)
+        return encode_text(*args)
+
+    monkeypatch.setattr(ev, "encode_text", counted)
+    enc, table, prompt = tiny_parts()
+    model = make_model(enc, table, ["ant", "bee", "cat"], mode="wgm",
+                       prompt=prompt)
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        predict(model, rng.normal(0, 1, 16))
+    assert len(calls) == 1
+
+
+def _row_means(blocks: np.ndarray) -> np.ndarray:
+    """Each block with every row replaced by the block's row-mean."""
+    return np.broadcast_to(blocks.mean(axis=-2, keepdims=True, dtype=np.float64),
+                           blocks.shape).astype(np.float32)
+
+
+@pytest.mark.parametrize("mode", ["dsp", "csp", "hdp", "wgm"])
+def test_scoring_reads_only_each_context_row_mean(monkeypatch, mode):
+    # mean pooling comes before the text encoder, so a context block
+    # enters a score only through its row-mean
+    cfg = small_cfg(prompt_mode=mode)
+    ds = ev.dataset_from_config(cfg)
+    trainer = fed.FederatedTrainer(cfg, ds, target_domain=0)
+    trainer.run_all()
+    embs = encode_image(trainer.enc, ds.features[ds.domain_indices(0)])
+
+    def scores():
+        model = ev.InferenceModel.from_trainer(trainer)
+        return np.concatenate([model.predict_from_emb(embs[i:i + 1])
+                               for i in range(embs.shape[0])])
+
+    before = scores()
+    moved = []
+
+    def flattened(blocks):
+        out = _row_means(blocks)
+        moved.append(np.abs(out - blocks).max())
+        return out
+
+    rows, wgm_rows = ev.generator_rows, ev.wgm_context_rows
+
+    def mean_generated(g, gan, z, emb):
+        blocks = rows(g, gan, z, emb).data.reshape(-1, gan.n_rows, gan.d_tok)
+        return nc.Tensor(flattened(blocks).reshape(blocks.shape[0], -1))
+
+    monkeypatch.setattr(ev, "generator_rows", mean_generated)
+    monkeypatch.setattr(ev, "wgm_context_rows", lambda p: flattened(wgm_rows(p)))
+    after = scores()
+    assert min(moved) > 1e-3  # the blocks really changed
+    assert np.abs(after - before).max() <= 1e-6
+
+
 def test_tau_rescales_but_argmax_invariant():
     enc, table, prompt = tiny_parts()
     gan = GanParams(n_rows=4, d_tok=8, d=8, z_dim=4, h=8, seed=0)

@@ -430,11 +430,24 @@ def test_trainer_aggregation_event_accounting():
     for epr in (0.5, 1.0, 2.0):
         cfg = small_cfg(epochs=2, epochs_per_round=epr)
         tr = fed.FederatedTrainer(cfg, small_ds(cfg), target_domain=2)
+        assert all(c.steps_per_epoch >= 2 for c in tr.clients)
         tr.run_all()
         counts[epr] = tr.agg_events
-        assert tr.lineage["batch_samples"] == 2 * sum(
-            len(c.samples) for c in tr.clients)
+        assert tr.lineage["batch_samples"] == cfg.epochs * sum(
+            len(c.labels) for c in tr.clients)
     assert counts == {0.5: 8, 1.0: 4, 2.0: 2}
+
+
+def test_trainer_refuses_half_epoch_of_one_batch():
+    # one batch per epoch cannot be split over two rounds
+    cfg = small_cfg(epochs=2, epochs_per_round=0.5, batch_size=32)
+    with pytest.raises(ValueError,
+                       match="client 0 holds 12 samples at batch_size 32"):
+        fed.FederatedTrainer(cfg, small_ds(cfg), target_domain=2)
+    cfg = small_cfg(epochs=2, epochs_per_round=1.0, batch_size=32)
+    tr = fed.FederatedTrainer(cfg, small_ds(cfg), target_domain=2)
+    tr.run_stage1()
+    assert tr.lineage["batch_samples"] == cfg.epochs * 24
 
 
 def test_trainer_zero_target_lineage():
