@@ -171,9 +171,9 @@ def _eval_reports(args, cfg: cf.ExperimentConfig) -> tuple[str, list[ev.EvalRepo
         raise CliError("--holdout applies only with --checkpoint")
     if args.target and args.protocol != "cross-dataset":
         raise CliError("--target applies only with --protocol cross-dataset")
-    if args.checkpoint and args.protocol == "cross-dataset":
-        raise CliError("--checkpoint cannot be combined with "
-                       "--protocol cross-dataset")
+    if args.checkpoint and args.protocol is not None:
+        raise CliError(f"--checkpoint cannot be combined with "
+                       f"--protocol {args.protocol}")
     if args.checkpoint:
         ds = ev.dataset_from_config(cfg)
         trainer = FederatedTrainer(cfg, ds, target_domain=args.holdout)
@@ -229,7 +229,10 @@ def cmd_sweep(args) -> int:
     if not values:
         raise CliError("--values must name at least one value")
     for raw in values:  # validate every point before spending any compute
-        cf.apply_overrides(cfg, {field_name: raw})
+        point = cf.apply_overrides(cfg, {field_name: raw})
+        ds = ev.dataset_from_config(point)
+        for did, _ in ds.domains:  # the trainer refuses what the config allows
+            FederatedTrainer(point, ds, target_domain=did)
     out = resolve_out(args, cfg)
     run_dir = _claim_dir(
         out / "sweep" / f"{args.axis}_{cf.config_hash(cfg)}", args.force)
@@ -309,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="run an evaluation protocol")
     _add_config_flags(p)
     p.add_argument("--protocol", choices=("leave-one-out", "cross-dataset"),
-                   default="leave-one-out")
+                   help="default leave-one-out; not with --checkpoint")
     p.add_argument("--target", metavar="DIR",
                    help="target dataset directory for cross-dataset")
     p.add_argument("--checkpoint", metavar="FILE",

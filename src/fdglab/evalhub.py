@@ -2,11 +2,16 @@
 
 A target image is classified by conditioning the trained generator on
 its embedding: each z draw gives a block of context rows, each prompt
-[block; cls] is mean-pooled and text-encoded (one encoder call per image)
-and scored against the image embedding by inner product over temperature
-(identical to cosine because both sides are unit-norm), and the logits
-are averaged over the blocks. The wgm variant skips the generator: its
-one block, the tuned [v; mean of the per-domain rows], is encoded once.
+[block; cls] is mean-pooled and text-encoded and scored against the
+image embedding by inner product over temperature (identical to cosine
+because both sides are unit-norm), and the logits are averaged over the
+blocks. The wgm variant skips the generator: its one block, the tuned
+[v; mean of the per-domain rows], is encoded once.
+
+Images are scored in chunks of SCORE_CHUNK: one forward-only generator
+pass, which records no tape, and one encoder call per chunk. Every
+product keeps the shape it has when one image is scored alone, so each
+probability row is bit-identical to scoring that image alone.
 
 Protocols: leave-one-domain-out (train once per held-out domain) and
 cross-dataset transfer (train on every domain of one dataset, score each
@@ -31,18 +36,23 @@ from .datagen import DomainDataset, gen_dataset, load_dataset
 from .dsp import DspParams
 from .encoder import FrozenEncoders, TokenTable, encode_image, encode_text
 from .fed import FederatedTrainer
-from .promptgan import GanParams, generator_rows
+from .promptgan import GanParams, generator_forward
 
 _STREAM_EVAL_Z = 50
+
+# images per predict_from_emb call: one generator pass and one text
+# encode per chunk, with memory bounded by the chunk, not the domain
+SCORE_CHUNK = 16
 
 CSV_COLUMNS = ("protocol", "target_domain", "accuracy", "macro_f1", "seed",
                "config_hash")
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    x = np.asarray(logits, dtype=np.float64).ravel()
-    e = np.exp(x - x.max())
-    return (e / e.sum()).reshape(1, -1)
+    """Row-wise softmax of (B, K) logits."""
+    x = np.asarray(logits, dtype=np.float64)
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def _draw_z(z_policy: str, z_samples: int, z_dim: int,
@@ -225,27 +235,37 @@ class InferenceModel:
         return encode_text(nc.Graph(), self.enc, nc.Tensor(
             pooled.reshape(-1, pooled.shape[2]))).data
 
-    def predict_from_emb(self, image_emb: np.ndarray) -> np.ndarray:
-        """The (1, K) float64 class probabilities of one (1, d) unit-norm
-        image embedding, from logits averaged over the context blocks."""
+    def predict_from_emb(self, image_embs: np.ndarray) -> np.ndarray:
+        """The (B, K) float64 class probabilities of a (B, d) chunk of
+        unit-norm image embeddings, each row from that image's logits
+        averaged over its context blocks. Each row equals scoring its
+        image alone, bit for bit."""
+        b, k = image_embs.shape[0], len(self.classes)
         if self.mode == "wgm":
-            embs = self._wgm_embs
+            embs = np.broadcast_to(self._wgm_embs,
+                                   (b, *self._wgm_embs.shape))
         else:
             gan = self.gan
             if gan is None:
                 raise ValueError(
                     "no trained generator; run stage 2 or use wgm")
             zs = self._zs
-            reps = np.repeat(image_emb.astype(np.float32), zs.shape[0], axis=0)
-            contexts = generator_rows(
-                nc.Graph(), gan, nc.Tensor(zs), nc.Tensor(reps)).data.reshape(
-                zs.shape[0], gan.n_rows, gan.d_tok)
-            embs = self._class_embeddings(contexts)
+            m = zs.shape[0]
+            # (B, M, .) blocks: each image's M-row product runs alone
+            contexts = generator_forward(
+                gan, np.broadcast_to(zs, (b, *zs.shape)),
+                np.repeat(image_embs[:, None, :], m, axis=1))
+            # every image's M*K pooled rows in one encode; each image's
+            # rows alone would be a multi-row product too (K >= 2)
+            embs = self._class_embeddings(
+                contexts.reshape(b * m, gan.n_rows, gan.d_tok)).reshape(
+                b, m * k, -1)
         # a stack of 1 x d by d x 1 products, each rounding like a lone
         # w @ x.T; one (M*K, d) @ (d, 1) product rounds differently
-        logits = np.matmul(embs[:, None, :], image_emb.T).reshape(
-            -1, len(self.classes)).astype(np.float64) / self.tau
-        return _softmax(logits.mean(axis=0))
+        logits = np.matmul(embs[:, :, None, :],
+                           image_embs[:, None, :, None]).reshape(
+            b, -1, k).astype(np.float64) / self.tau
+        return _softmax(logits.mean(axis=1))
 
 
 def _domain_row(model: InferenceModel, ds: DomainDataset,
@@ -257,8 +277,8 @@ def _domain_row(model: InferenceModel, ds: DomainDataset,
     idx = ds.domain_indices(target_domain)
     name = dict(ds.domains)[target_domain]
     embs = encode_image(model.enc, ds.features[idx])
-    probs = np.concatenate([model.predict_from_emb(embs[i:i + 1])
-                            for i in range(embs.shape[0])])
+    probs = np.concatenate([model.predict_from_emb(embs[i:i + SCORE_CHUNK])
+                            for i in range(0, embs.shape[0], SCORE_CHUNK)])
     bad = int(np.count_nonzero(~np.isfinite(probs).all(axis=1)))
     if bad:
         raise ValueError(f"domain {name}: {bad} of {len(probs)} probability "

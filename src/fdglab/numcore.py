@@ -101,9 +101,10 @@ class Graph:
 
     Ops append a node only when some input requires grad, so a pass
     through trainable weights records nodes even when no backward
-    follows: the generator's pass at inference and in the D step does
-    (ROADMAP item 6). One Graph belongs to one thread; a fresh Graph per
-    training step is the intended usage.
+    follows. Forwards whose gradients nobody reads (the generator at
+    inference and in the D step) therefore bypass the tape through
+    ``promptgan.generator_forward``. One Graph belongs to one thread; a
+    fresh Graph per training step is the intended usage.
     """
 
     __slots__ = ("nodes",)

@@ -92,13 +92,41 @@ def _mlp(g: nc.Graph, x: nc.Tensor, layers, hidden_act) -> nc.Tensor:
 
 def generator_rows(g: nc.Graph, gan: GanParams, z: nc.Tensor,
                    image_emb: nc.Tensor) -> nc.Tensor:
-    """Batched generator forward: (B, z_dim) x (B, d) -> (B, n_rows*d_tok)."""
+    """Batched generator forward on the tape, for the G step:
+    (B, z_dim) x (B, d) -> (B, n_rows*d_tok)."""
     if z.cols != gan.z_dim or image_emb.cols != gan.d or z.rows != image_emb.rows:
         raise nc.ShapeError(
             f"generator wants (B,{gan.z_dim}) and (B,{gan.d}), "
             f"got {z.shape} and {image_emb.shape}")
     x = nc.concat(g, [z, image_emb], axis=1)
     return _mlp(g, x, gan.g_layers, nc.tanh)
+
+
+def generator_forward(gan: GanParams, z: np.ndarray,
+                      image_emb: np.ndarray) -> np.ndarray:
+    """Forward-only generator, recording no tape: (..., z_dim) and (..., d)
+    arrays with equal leading dimensions -> (..., n_rows*d_tok) float32.
+
+    Each layer rounds as the taped ops do: a float64 product rounded to
+    float32, then the float32 bias add and tanh. ``np.matmul`` on a
+    (B, M, .) stack runs each of the B M-row products alone, so every
+    image's rows equal a ``generator_rows`` pass over that image's M rows.
+    """
+    z = np.asarray(z, dtype=np.float32)
+    image_emb = np.asarray(image_emb, dtype=np.float32)
+    if (z.shape[-1] != gan.z_dim or image_emb.shape[-1] != gan.d
+            or z.shape[:-1] != image_emb.shape[:-1]):
+        raise nc.ShapeError(
+            f"generator wants (...,{gan.z_dim}) and (...,{gan.d}), "
+            f"got {z.shape} and {image_emb.shape}")
+    x = np.concatenate([z, image_emb], axis=-1)
+    last = len(gan.g_layers) - 1
+    for i, (w, b) in enumerate(gan.g_layers):
+        x = np.matmul(x.astype(np.float64), w.data.astype(np.float64)
+                      ).astype(np.float32) + b.data
+        if i != last:
+            x = np.tanh(x)
+    return x
 
 
 def discriminator_logits(g: nc.Graph, gan: GanParams, flat_prompts: nc.Tensor,
@@ -128,10 +156,15 @@ class RealPromptBank:
         for d, ctx in self.contexts.items():
             ctx.setflags(write=False)
             self.embeddings[d].setflags(write=False)
-        # every domain's embeddings, the pool the fake branch draws from
-        self._pool = np.concatenate(
-            [self.embeddings[d] for d in self.domains], axis=0)
+        # every domain's embeddings, the pool the fake branch draws from;
+        # domain i's rows start at _offsets[i] and number _sizes[i]
+        doms = self.domains
+        self._pool = np.concatenate([self.embeddings[d] for d in doms], axis=0)
         self._pool.setflags(write=False)
+        self._sizes = np.array([len(self.embeddings[d]) for d in doms])
+        self._offsets = np.cumsum(self._sizes) - self._sizes
+        self._flat_contexts = np.stack(
+            [self.contexts[d].reshape(-1) for d in doms])
 
     @property
     def domains(self) -> list[int]:
@@ -146,16 +179,12 @@ class RealPromptBank:
         """
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        doms = self.domains
-        picks = rng.integers(0, len(doms), batch_size)
-        ctxs, embs = [], []
-        for i in picks:
-            d = doms[i]
-            pool = self.embeddings[d]
-            ctxs.append(self.contexts[d].reshape(1, -1))
-            embs.append(pool[rng.integers(0, pool.shape[0])].reshape(1, -1))
+        picks = rng.integers(0, len(self._sizes), batch_size)
+        # one draw per pick, in pick order, as one call: the same stream
+        # as a scalar rng.integers(0, size) per pick
+        rows = self._offsets[picks] + rng.integers(0, self._sizes[picks])
         fakes = self._pool[rng.integers(0, self._pool.shape[0], batch_size)]
-        return (np.concatenate(ctxs, axis=0), np.concatenate(embs, axis=0),
+        return (self._flat_contexts[picks], self._pool[rows],
                 fakes.astype(np.float32))
 
 
@@ -182,8 +211,7 @@ def gan_train_step(gan: GanParams, real_contexts: np.ndarray,
 
     # discriminator step; generated contexts enter as constants
     z = sample_z(rng, b, gan.z_dim)
-    fake_rows = generator_rows(
-        nc.Graph(), gan, nc.Tensor(z), nc.Tensor(fake_embs)).data
+    fake_rows = generator_forward(gan, z, fake_embs)
     g1 = nc.Graph()
     logit_real = discriminator_logits(
         g1, gan, nc.Tensor(real_contexts), nc.Tensor(real_embs))

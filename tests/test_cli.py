@@ -196,6 +196,8 @@ def test_eval_cross_dataset_needs_target(tmp_path, capsys):
     (["--target", "t"], "--target applies only with --protocol cross-dataset"),
     (["--checkpoint", "final.msg", "--protocol", "cross-dataset",
       "--target", "t"], "--checkpoint cannot be combined"),
+    (["--checkpoint", "final.msg", "--protocol", "leave-one-out"],
+     "--checkpoint cannot be combined with --protocol leave-one-out"),
 ])
 def test_eval_refuses_ignored_flags(tmp_path, capsys, flags, err):
     assert run("eval", *TINY, *flags, "--out", str(tmp_path)) == 1
@@ -255,6 +257,12 @@ def test_sweep_unknown_axis_and_bad_value(tmp_path, capsys):
     assert run("sweep", *TINY, "--axis", "alpha", "--values", "0.2,7",
                "--out", str(tmp_path)) == 1
     assert "alpha" in capsys.readouterr().err
+    # 0.5 passes the config check, but the trainer refuses a client whose
+    # epoch is one batch; that too must stop the sweep before any run
+    assert run("sweep", *TINY, "--axis", "epochs-per-round",
+               "--values", "1,0.5", "--batch-size", "32",
+               "--out", str(tmp_path)) == 1
+    assert "two batches per epoch" in capsys.readouterr().err
     assert not (tmp_path / "sweep").exists()  # validated before any run
 
 

@@ -1,5 +1,7 @@
 """Inference, metrics, report, and protocol tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -128,7 +130,7 @@ def test_scoring_matches_per_prompt_path(mode):
             for c in contexts])
         np.testing.assert_array_equal(model._class_embeddings(contexts), ref)
         logits = np.array([(w[None] @ emb.T).item() / model.tau for w in ref])
-        probs = ev._softmax(logits.reshape(len(contexts), 3).mean(axis=0))
+        probs = ev._softmax(logits.reshape(len(contexts), 3).mean(axis=0)[None])
         np.testing.assert_array_equal(model.predict_from_emb(emb), probs)
 
 
@@ -178,17 +180,90 @@ def test_scoring_reads_only_each_context_row_mean(monkeypatch, mode):
         moved.append(np.abs(out - blocks).max())
         return out
 
-    rows, wgm_rows = ev.generator_rows, ev.wgm_context_rows
+    rows, wgm_rows = ev.generator_forward, ev.wgm_context_rows
 
-    def mean_generated(g, gan, z, emb):
-        blocks = rows(g, gan, z, emb).data.reshape(-1, gan.n_rows, gan.d_tok)
-        return nc.Tensor(flattened(blocks).reshape(blocks.shape[0], -1))
+    def mean_generated(gan, z, emb):
+        out = rows(gan, z, emb)
+        blocks = out.reshape(-1, gan.n_rows, gan.d_tok)
+        return flattened(blocks).reshape(out.shape)
 
-    monkeypatch.setattr(ev, "generator_rows", mean_generated)
+    monkeypatch.setattr(ev, "generator_forward", mean_generated)
     monkeypatch.setattr(ev, "wgm_context_rows", lambda p: flattened(wgm_rows(p)))
     after = scores()
     assert min(moved) > 1e-3  # the blocks really changed
     assert np.abs(after - before).max() <= 1e-6
+
+
+@pytest.fixture(scope="module")
+def trained():
+    """One tiny trainer per prompt mode, domain 0 held out."""
+    out = {}
+    for mode in ("dsp", "csp", "hdp", "wgm"):
+        cfg = small_cfg(prompt_mode=mode)
+        ds = ev.dataset_from_config(cfg)
+        trainer = fed.FederatedTrainer(cfg, ds, target_domain=0)
+        trainer.run_all()
+        out[mode] = (trainer, encode_image(trainer.enc, ds.features))
+    return out
+
+
+@pytest.mark.parametrize("mode", ["dsp", "csp", "hdp", "wgm"])
+@pytest.mark.parametrize("z_policy, z_samples", [
+    ("fixed-zero", 1), ("mean-of-samples", 1), ("mean-of-samples", 3)])
+def test_chunked_scoring_equals_per_image(trained, monkeypatch, mode,
+                                         z_policy, z_samples):
+    # every image of the dataset, so the last chunk is ragged; scoring one
+    # image alone is pinned to the taped per-prompt path above
+    trainer, embs = trained[mode]
+    model = dataclasses.replace(ev.InferenceModel.from_trainer(trainer),
+                                z_policy=z_policy, z_samples=z_samples,
+                                z_seed=4)
+    n = embs.shape[0]
+    assert n % ev.SCORE_CHUNK != 0
+    alone = np.concatenate([model.predict_from_emb(embs[i:i + 1])
+                            for i in range(n)])
+    # each chunk makes one generator pass, over one (M, .) block per
+    # image, and one text encode
+    seen, forward, encode = [], ev.generator_forward, ev.encode_text
+
+    def spied_forward(gan, z, emb):
+        seen.append(z.shape)
+        return forward(gan, z, emb)
+
+    def spied_encode(*args):
+        seen.append("encode")
+        return encode(*args)
+
+    monkeypatch.setattr(ev, "generator_forward", spied_forward)
+    monkeypatch.setattr(ev, "encode_text", spied_encode)
+    for chunk in (ev.SCORE_CHUNK, 5):
+        seen.clear()
+        chunked = np.concatenate([model.predict_from_emb(embs[i:i + chunk])
+                                  for i in range(0, n, chunk)])
+        np.testing.assert_array_equal(chunked, alone)
+        sizes = [min(chunk, n - i) for i in range(0, n, chunk)]
+        if mode != "wgm":
+            m = 1 if z_policy == "fixed-zero" else z_samples
+            assert seen == [x for b in sizes
+                            for x in ((b, m, trainer.cfg.z_dim), "encode")]
+
+
+def test_scoring_records_no_tape_nodes(trained, monkeypatch):
+    graphs = []
+
+    class Recorded(nc.Graph):
+        __slots__ = ()
+
+        def __init__(self):
+            super().__init__()
+            graphs.append(self)
+
+    monkeypatch.setattr(nc, "Graph", Recorded)
+    for mode in ("dsp", "wgm"):
+        trainer, _ = trained[mode]
+        model = ev.InferenceModel.from_trainer(trainer)
+        ev.evaluate(model, trainer.ds, 0)
+    assert graphs and all(len(g) == 0 for g in graphs)
 
 
 def test_tau_rescales_but_argmax_invariant():

@@ -73,6 +73,34 @@ def test_generate_contracts(gan, rng):
         gen(gan, np.zeros((2, 4)), emb)  # batch sizes differ
 
 
+@pytest.mark.parametrize("shape", [(4, 8, 8, 4, 16), (2, 32, 64, 16, 128)])
+def test_generator_forward_matches_taped_rows(shape, rng):
+    n_rows, d_tok, d, z_dim, h = shape
+    gan = pg.GanParams(n_rows=n_rows, d_tok=d_tok, d=d, z_dim=z_dim, h=h,
+                       seed=2)
+    flat = n_rows * d_tok
+    # a 2-D batch is the same product as the taped pass
+    z = rng.normal(0, 1, (7, z_dim)).astype(np.float32)
+    embs = unit_rows(rng, 7, d)
+    got = pg.generator_forward(gan, z, embs)
+    assert got.dtype == np.float32 and got.shape == (7, flat)
+    assert np.array_equal(got, gen(gan, z, embs))
+    # (B, M, .) blocks: image b's M rows equal a taped pass over them alone
+    for m in (1, 3, 5, 8):
+        zs = rng.normal(0, 1, (m, z_dim)).astype(np.float32)
+        blocks = pg.generator_forward(
+            gan, np.broadcast_to(zs, (7, m, z_dim)),
+            np.repeat(embs[:, None, :], m, axis=1))
+        assert blocks.shape == (7, m, flat)
+        for b in range(7):
+            assert np.array_equal(
+                blocks[b], gen(gan, zs, np.repeat(embs[b:b + 1], m, axis=0)))
+    with pytest.raises(nc.ShapeError):
+        pg.generator_forward(gan, z[:, 1:], embs)
+    with pytest.raises(nc.ShapeError):
+        pg.generator_forward(gan, z[:3], embs)
+
+
 def test_distinct_noise_gives_distinct_prompts(gan, rng):
     emb = unit_rows(rng, 1, 8)[0]
     outs = [gen(gan, rng.normal(0, 1, 4), emb) for _ in range(10)]
@@ -112,6 +140,19 @@ def test_bank_contracts(rng):
         pg.RealPromptBank(contexts={}, embeddings={})
     with pytest.raises(ValueError):
         bank.sample_batch(rng, 0)
+
+
+def test_bank_pairs_each_context_with_its_domains_embeddings(rng):
+    sizes = {3: 5, 7: 1, 9: 12}
+    embs = {d: unit_rows(rng, n, 8) for d, n in sizes.items()}
+    ctxs = {d: np.full((4, 8), d, np.float32) for d in sizes}
+    bank = pg.RealPromptBank(contexts=ctxs, embeddings=embs)
+    rc, re, fe = bank.sample_batch(rng, 64)
+    doms = rc[:, 0].astype(int)
+    assert set(doms) == set(sizes)
+    for ctx, emb, d in zip(rc, re, doms):
+        assert np.array_equal(ctx, ctxs[d].reshape(-1))
+        assert any(np.array_equal(emb, row) for row in embs[d])
 
 
 def _step_inputs(rng, gan, b=6):
@@ -159,6 +200,33 @@ def test_step_input_validation(gan, rng):
     with pytest.raises(ValueError):
         pg.gan_train_step(gan, rc, re[:2], fe, rng,
                           nc.AdamW(lr=1e-4), nc.AdamW(lr=1e-4))
+
+
+def test_only_differentiated_passes_record_tape_nodes(gan, rng, monkeypatch):
+    # the D step's generator pass is forward-only: every node a step
+    # records belongs to a graph that a backward then reads
+    graphs, read = [], []
+
+    class Recorded(nc.Graph):
+        __slots__ = ()
+
+        def __init__(self):
+            super().__init__()
+            graphs.append(self)
+
+    backward = nc.backward
+
+    def read_backward(g, loss):
+        read.append(g)
+        backward(g, loss)
+
+    monkeypatch.setattr(nc, "Graph", Recorded)
+    monkeypatch.setattr(nc, "backward", read_backward)
+    rc, re, fe = _step_inputs(rng, gan)
+    pg.gan_train_step(gan, rc, re, fe, rng, nc.AdamW(lr=1e-3),
+                      nc.AdamW(lr=1e-3))
+    assert len(read) == 2
+    assert [g for g in graphs if len(g)] == read
 
 
 def test_adversarial_gradients_match_fd():
