@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -336,7 +337,11 @@ def leave_one_domain_out(cfg: ExperimentConfig,
 def cross_dataset(source_cfg: ExperimentConfig,
                   target_cfg: ExperimentConfig) -> EvalReport:
     """Train on every domain of the source dataset, score every domain of
-    the target dataset zero-shot (class tokens from target names)."""
+    the target dataset zero-shot (class tokens from target names).
+
+    Transfer needs class centroids shared by both datasets; for generated
+    data that means the same seed and family, and a warning goes to
+    stderr when their provenance says otherwise."""
     validate_config(source_cfg)
     validate_config(target_cfg)
     src = dataset_from_config(source_cfg)
@@ -345,6 +350,12 @@ def cross_dataset(source_cfg: ExperimentConfig,
         raise ValueError(
             f"dimensional mismatch: source feature_dim {src.feature_dim} "
             f"!= target feature_dim {tgt.feature_dim}")
+    a, b = (ds.provenance.get("synthetic", {}) for ds in (src, tgt))
+    differ = [f"{k} {a.get(k)!r} vs {b.get(k)!r}" for k in ("seed", "family")
+              if a.get(k) != b.get(k)]
+    if differ:
+        print(f"warning: source and target data differ in {', '.join(differ)}; "
+              f"transfer needs shared class centroids", file=sys.stderr)
     trainer = FederatedTrainer(source_cfg, src, target_domain=None)
     trainer.run_all()
     model = InferenceModel.from_trainer(trainer, classes=tgt.classes)

@@ -1,13 +1,14 @@
 """Dense rank-<=2 float32 tensors with tape-based reverse-mode autodiff.
 
 The op set is deliberately frozen to what the rest of the package needs:
-matmul, add, scale, concat, reshape, row_mean, tanh, relu, sigmoid,
-l2_normalize, cosine_sim, softmax_cross_entropy, bce_with_logits, plus
-Adam/AdamW optimizers. No broadcasting beyond a row-vector bias in add,
-no rank-3 tensors, no GPU. The two scoring ops take a whole batch in one
-node: cosine_sim scores B rows, each against the K rows of one of several
-K x d stacks (``pick``), and softmax_cross_entropy returns B per-row
-losses.
+matmul (with an optional row-vector bias), add, scale, concat, reshape,
+row_mean, tanh, relu, sigmoid, l2_normalize, cosine_sim,
+softmax_cross_entropy, bce_with_logits, plus Adam/AdamW optimizers. add
+takes equal shapes only: the one broadcast is matmul's bias, added to
+every row in the same node. No rank-3 tensors, no GPU. The two scoring
+ops take a whole batch in one node: cosine_sim scores B rows, each
+against the K rows of one of several K x d stacks (``pick``), and
+softmax_cross_entropy returns B per-row losses.
 
 Numerics contract: values are stored as float32, reductions (dots, sums,
 matmul) accumulate in float64 before rounding back, and every reduction's
@@ -103,8 +104,10 @@ class Graph:
     through trainable weights records nodes even when no backward
     follows. Forwards whose gradients nobody reads (the generator at
     inference and in the D step) therefore bypass the tape through
-    ``promptgan.generator_forward``. One Graph belongs to one thread; a
-    fresh Graph per training step is the intended usage.
+    ``promptgan.generator_forward``, and the G step wraps D's weights in
+    constant tensors, so its nodes compute gradients for G only. A
+    linear layer is one node: matmul takes the bias. One Graph belongs
+    to one thread; a fresh Graph per training step is the intended usage.
     """
 
     __slots__ = ("nodes",)
@@ -154,8 +157,9 @@ def backward(graph: Graph, loss: Tensor) -> None:
         if not leaf.requires_grad:
             continue
         if leaf.grad is None:
-            leaf.grad = np.zeros_like(leaf.data)
-        leaf.grad += acc.astype(np.float32)
+            leaf.grad = acc.astype(np.float32)  # a copy: vjps share arrays
+        else:
+            leaf.grad += acc.astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -163,41 +167,47 @@ def backward(graph: Graph, loss: Tensor) -> None:
 # ---------------------------------------------------------------------------
 
 
-def matmul(g: Graph, a: Tensor, b: Tensor) -> Tensor:
+def matmul(g: Graph, a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """a @ b, plus an optional 1 x cols row-vector bias on every row.
+
+    The product rounds from float64 to float32 before the float32 bias
+    add, so one node gives the bits of a matmul node then an add node.
+    """
     if a.cols != b.rows:
         raise ShapeError(f"matmul: inner dims disagree, {a.shape} x {b.shape}")
+    if bias is not None and bias.shape != (1, b.cols):
+        raise ShapeError(f"matmul: bias {bias.shape} for {b.cols} output columns")
     a64 = a.data.astype(np.float64)
     b64 = b.data.astype(np.float64)
-    out = Tensor(a64 @ b64, requires_grad=a.requires_grad or b.requires_grad)
+    y = (a64 @ b64).astype(np.float32)
+    parents = (a, b)
+    if bias is not None:
+        y += bias.data
+        parents = (a, b, bias)
+    out = Tensor(y, requires_grad=any([p.requires_grad for p in parents]))
 
     def vjp(gout):
         g64 = gout.astype(np.float64)
         ga = (g64 @ b64.T).astype(np.float32) if a.requires_grad else None
         gb = (a64.T @ g64).astype(np.float32) if b.requires_grad else None
-        return ga, gb
+        if bias is None:
+            return ga, gb
+        gbias = (gout.sum(axis=0, keepdims=True, dtype=np.float64).astype(np.float32)
+                 if bias.requires_grad else None)
+        return ga, gb, gbias
 
-    return _finish(g, out, (a, b), vjp)
+    return _finish(g, out, parents, vjp)
 
 
 def add(g: Graph, a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise a + b; b may be a 1 x cols row vector (bias broadcast)."""
-    if a.shape == b.shape:
-        bias = False
-    elif b.rows == 1 and b.cols == a.cols:
-        bias = True
-    else:
+    """Elementwise a + b of equal shapes (a bias goes in ``matmul``)."""
+    if a.shape != b.shape:
         raise ShapeError(f"add: incompatible shapes {a.shape} + {b.shape}")
     out = Tensor(a.data + b.data, requires_grad=a.requires_grad or b.requires_grad)
 
     def vjp(gout):
-        ga = gout if a.requires_grad else None
-        if not b.requires_grad:
-            gb = None
-        elif bias:
-            gb = gout.sum(axis=0, keepdims=True, dtype=np.float64).astype(np.float32)
-        else:
-            gb = gout
-        return ga, gb
+        return (gout if a.requires_grad else None,
+                gout if b.requires_grad else None)
 
     return _finish(g, out, (a, b), vjp)
 
@@ -470,26 +480,44 @@ class _AdamBase:
         self._slots: dict[int, _Slot] = {}
 
     def step(self, params) -> None:
+        """w <- w·(1 - lr·wd) - lr·(m/c1) / (sqrt(v/c2) + eps), in float64.
+
+        The moments update in place and the float32 operands widen inside
+        each ufunc, in the order of the textbook formula, so every bit
+        matches it. ``p.data`` is rebound to a fresh float32 array, never
+        written: aggregation messages may still hold the old one.
+        """
         params = list(params)
         for p in params:
             if p.grad is None:
                 raise OptimizerError("optimizer step on a parameter with no gradient")
+        f64 = np.float64
+        b1, b2, lr = self.beta1, self.beta2, self.lr
         for p in params:
             slot = self._slots.get(id(p))
             if slot is None:
                 slot = _Slot(p)
                 self._slots[id(p)] = slot
             slot.t += 1
-            w = p.data.astype(np.float64)
+            g, m, v = p.grad, slot.m, slot.v
+            u = np.multiply(g, 1.0 - b1, dtype=f64)
+            m *= b1
+            m += u
+            s = np.multiply(g, 1.0 - b2, dtype=f64)
+            s *= g
+            v *= b2
+            v += s
+            np.divide(m, 1.0 - b1 ** slot.t, out=u)
+            u *= lr
+            np.divide(v, 1.0 - b2 ** slot.t, out=s)
+            np.sqrt(s, out=s)
+            s += self.eps
+            u /= s
+            w = p.data
             if self.weight_decay != 0.0:
-                w = w * (1.0 - self.lr * self.weight_decay)
-            grad = p.grad.astype(np.float64)
-            slot.m = self.beta1 * slot.m + (1.0 - self.beta1) * grad
-            slot.v = self.beta2 * slot.v + (1.0 - self.beta2) * grad * grad
-            mhat = slot.m / (1.0 - self.beta1 ** slot.t)
-            vhat = slot.v / (1.0 - self.beta2 ** slot.t)
-            w = w - self.lr * mhat / (np.sqrt(vhat) + self.eps)
-            p.data = w.astype(np.float32)
+                w = np.multiply(w, 1.0 - lr * self.weight_decay, out=s, dtype=f64)
+            p.data = np.subtract(w, u, out=np.empty_like(p.data), dtype=f64,
+                                 casting="same_kind")
 
 
 class Adam(_AdamBase):

@@ -8,7 +8,9 @@ real pairs are a client's tuned context with an embedding from the
 matching domain, fake pairs are generated contexts conditioned on
 embeddings drawn from the client's own data.
 
-The generator step uses the non-saturating loss, -log D(G(z)).
+The generator step uses the non-saturating loss, -log D(G(z)). It holds
+D fixed: D's weights enter its tape as constants, so that step computes
+no gradient for D and leaves D as the discriminator step left it.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ class GanParams:
 def _mlp(g: nc.Graph, x: nc.Tensor, layers, hidden_act) -> nc.Tensor:
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
-        x = nc.add(g, nc.matmul(g, x, w), b)
+        x = nc.matmul(g, x, w, bias=b)
         if i != last:
             x = hidden_act(g, x)
     return x
@@ -130,14 +132,21 @@ def generator_forward(gan: GanParams, z: np.ndarray,
 
 
 def discriminator_logits(g: nc.Graph, gan: GanParams, flat_prompts: nc.Tensor,
-                         image_emb: nc.Tensor) -> nc.Tensor:
-    """Batched discriminator forward: (B, n_rows*d_tok) x (B, d) -> (B, 1)."""
+                         image_emb: nc.Tensor, frozen: bool = False) -> nc.Tensor:
+    """Batched discriminator forward: (B, n_rows*d_tok) x (B, d) -> (B, 1).
+
+    ``frozen`` reads D's weights as constants, for the G step: gradients
+    still flow to the inputs, but none is computed for D.
+    """
     if flat_prompts.cols != gan.n_rows * gan.d_tok or image_emb.cols != gan.d:
         raise nc.ShapeError(
             f"discriminator wants (B,{gan.n_rows * gan.d_tok}) and (B,{gan.d}), "
             f"got {flat_prompts.shape} and {image_emb.shape}")
+    layers = gan.d_layers
+    if frozen:
+        layers = [(nc.Tensor(w.data), nc.Tensor(b.data)) for w, b in layers]
     x = nc.concat(g, [flat_prompts, image_emb], axis=1)
-    return _mlp(g, x, gan.d_layers, nc.relu)
+    return _mlp(g, x, layers, nc.relu)
 
 
 @dataclass
@@ -223,11 +232,12 @@ def gan_train_step(gan: GanParams, real_contexts: np.ndarray,
     nc.backward(g1, d_loss)
     opt_d.step(dp)
 
-    # generator step; discriminator participates but is not stepped
+    # generator step; D is held fixed, so the tape computes no D gradient
     z2 = sample_z(rng, b, gan.z_dim)
     g2 = nc.Graph()
     gen_rows = generator_rows(g2, gan, nc.Tensor(z2), nc.Tensor(fake_embs))
-    logit_gen = discriminator_logits(g2, gan, gen_rows, nc.Tensor(fake_embs))
+    logit_gen = discriminator_logits(g2, gan, gen_rows, nc.Tensor(fake_embs),
+                                     frozen=True)
     g_loss = nc.bce_with_logits(g2, logit_gen, 1.0)
     nc.reset_grads(gp + dp)
     nc.backward(g2, g_loss)

@@ -95,25 +95,26 @@ def all_cases(seed: int):
 
     cases = []
 
-    # matmul, grad wrt each side
+    # matmul, grad wrt each side and wrt a row-vector bias
     a0 = rng.normal(0.0, 1.0, (3, 4)).astype(np.float32)
     b0 = rng.normal(0.0, 1.0, (4, 2)).astype(np.float32)
     u, v = weights(3, 2)
+    bias0 = rng.normal(0.0, 1.0, (1, 2)).astype(np.float32)
     cases.append(("matmul/left", a0.copy(),
                   lambda g, p, b0=b0, u=u, v=v: _reduce(g, nc.matmul(g, p, nc.Tensor(b0)), u, v)))
     cases.append(("matmul/right", b0.copy(),
                   lambda g, p, a0=a0, u=u, v=v: _reduce(g, nc.matmul(g, nc.Tensor(a0), p), u, v)))
+    cases.append(("matmul/bias", bias0.copy(),
+                  lambda g, p, a0=a0, b0=b0, u=u, v=v: _reduce(
+                      g, nc.matmul(g, nc.Tensor(a0), nc.Tensor(b0), bias=p), u, v)))
 
-    # add, same shape and bias broadcast, grad wrt each side
+    # add, grad wrt each side
     x0 = rng.normal(0.0, 1.0, (3, 5)).astype(np.float32)
     y0 = rng.normal(0.0, 1.0, (3, 5)).astype(np.float32)
-    bias0 = rng.normal(0.0, 1.0, (1, 5)).astype(np.float32)
     u, v = weights(3, 5)
     cases.append(("add/left", x0.copy(),
                   lambda g, p, y0=y0, u=u, v=v: _reduce(g, nc.add(g, p, nc.Tensor(y0)), u, v)))
     cases.append(("add/right", y0.copy(),
-                  lambda g, p, x0=x0, u=u, v=v: _reduce(g, nc.add(g, nc.Tensor(x0), p), u, v)))
-    cases.append(("add/bias", bias0.copy(),
                   lambda g, p, x0=x0, u=u, v=v: _reduce(g, nc.add(g, nc.Tensor(x0), p), u, v)))
 
     # scale

@@ -217,6 +217,22 @@ def test_eval_cross_dataset_runs(tmp_path):
     assert all(l.startswith("cross-dataset,") for l in lines[1:])
 
 
+def test_eval_cross_dataset_warns_without_shared_centroids(tmp_path, capsys):
+    for family in ("alpha", "beta"):
+        target = tmp_path / family
+        assert run("gen-data", *TINY, "--family", family,
+                   "--dest", str(target)) == 0
+        capsys.readouterr()
+        assert run("eval", *TINY, "--protocol", "cross-dataset",
+                   "--target", str(target), "--out", str(target / "out")) == 0
+        err = capsys.readouterr().err
+        if family == "alpha":  # the source's own seed and family
+            assert "warning" not in err
+        else:
+            assert "warning:" in err and "family 'alpha' vs 'beta'" in err
+            assert "seed" not in err and "shared class centroids" in err
+
+
 def test_eval_checkpoint_scores_saved_state(tmp_path):
     out = str(tmp_path)
     assert run("train", *TINY, "--out", out, "--holdout", "0") == 0

@@ -64,12 +64,37 @@ def test_matmul_rejects_bad_inner_dim():
         nc.matmul(nc.Graph(), nc.Tensor(np.zeros((2, 3))), nc.Tensor(np.zeros((2, 3))))
 
 
-def test_add_broadcasts_row_bias():
+def test_matmul_adds_row_bias_as_matmul_then_add(rng):
     g = nc.Graph()
     x = nc.Tensor([[1.0, 2.0], [3.0, 4.0]])
     b = nc.Tensor([[10.0, 20.0]])
-    out = nc.add(g, x, b)
+    out = nc.matmul(g, x, nc.Tensor(np.eye(2)), bias=b)
     assert np.array_equal(out.data, np.array([[11.0, 22.0], [13.0, 24.0]], dtype=np.float32))
+    with pytest.raises(nc.ShapeError):
+        nc.matmul(g, x, nc.Tensor(np.eye(2)), bias=nc.Tensor([[1.0], [2.0]]))
+    # one node with the bits of a matmul node then a float32 add node:
+    # the add passed gout on to the product and its row sum to the bias
+    a, w, bias = (nc.Tensor(rng.normal(0, 1, shape), requires_grad=True)
+                  for shape in ((6, 5), (5, 7), (1, 7)))
+    gout = rng.normal(0, 1, (6, 7)).astype(np.float32)
+    fused, plain = nc.Graph(), nc.Graph()
+    y = nc.matmul(fused, a, w, bias=bias)
+    product = nc.matmul(plain, a, w)
+    assert len(fused) == 1
+    assert y.data.tobytes() == (product.data + bias.data).tobytes()
+    ga, gw, gbias = fused.nodes[0].vjp(gout)
+    pa, pw = plain.nodes[0].vjp(gout)
+    assert ga.tobytes() == pa.tobytes() and gw.tobytes() == pw.tobytes()
+    want = gout.sum(axis=0, keepdims=True, dtype=np.float64).astype(np.float32)
+    assert gbias.tobytes() == want.tobytes()
+
+
+def test_add_refuses_row_vector():
+    g = nc.Graph()
+    x = nc.Tensor([[1.0, 2.0], [3.0, 4.0]])
+    assert np.array_equal(nc.add(g, x, x).data, 2 * x.data)
+    with pytest.raises(nc.ShapeError):
+        nc.add(g, x, nc.Tensor([[10.0, 20.0]]))
     with pytest.raises(nc.ShapeError):
         nc.add(g, x, nc.Tensor([[1.0], [2.0]]))
 
@@ -392,6 +417,70 @@ def test_bias_correction_is_per_parameter():
     opt.step([a, b])
     # b saw exactly one bias-corrected first step
     assert abs(b.data[0, 0] - 0.9) < 1e-6
+
+
+class _ReferenceAdam:
+    """The update rule written out with fresh float64 arrays per step, the
+    oracle the in-place optimizer must match bit for bit."""
+
+    def __init__(self, lr, weight_decay, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.weight_decay = lr, weight_decay
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.state = {}
+
+    def step(self, params):
+        for p in params:
+            m, v, t = self.state.get(id(p), (np.zeros(p.shape), np.zeros(p.shape), 0))
+            t += 1
+            w = p.data.astype(np.float64)
+            if self.weight_decay != 0.0:
+                w = w * (1.0 - self.lr * self.weight_decay)
+            grad = p.grad.astype(np.float64)
+            m = self.beta1 * m + (1.0 - self.beta1) * grad
+            v = self.beta2 * v + (1.0 - self.beta2) * grad * grad
+            mhat = m / (1.0 - self.beta1 ** t)
+            vhat = v / (1.0 - self.beta2 ** t)
+            w = w - self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            p.data = w.astype(np.float32)
+            self.state[id(p)] = (m, v, t)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: nc.Adam(lr=0.05),
+    lambda: nc.AdamW(lr=1e-2, weight_decay=0.0),
+    lambda: nc.AdamW(lr=1e-2, weight_decay=2e-5),
+], ids=["adam", "adamw-wd0", "adamw-wd2e-5"])
+def test_optimizer_matches_reference_formula_bit_for_bit(rng, make):
+    opt = make()
+    ref = _ReferenceAdam(opt.lr, opt.weight_decay)
+    shapes = [(3, 4), (1, 4), (5, 2), (1, 1)]
+    inits = [rng.normal(0, 1, s).astype(np.float32) for s in shapes]
+    mine = [nc.Tensor(x.copy(), requires_grad=True) for x in inits]
+    theirs = [nc.Tensor(x.copy(), requires_grad=True) for x in inits]
+    special = np.array([0.0, -0.0, 1e-6, -1e-6, 50.0, -50.0], dtype=np.float32)
+    for step in range(240):
+        # a nonempty subset of the parameters, as the prompt stage steps
+        subset = [i for i in range(len(shapes)) if rng.random() < 0.6] or [step % 4]
+        for i in subset:
+            grad = rng.normal(0, 1, shapes[i]).astype(np.float32)
+            pick = rng.random(shapes[i]) < 0.3
+            grad[pick] = rng.choice(special, size=int(pick.sum()))
+            mine[i].grad, theirs[i].grad = grad, grad.copy()
+        held = [mine[i].data for i in subset]
+        held_bytes = [a.tobytes() for a in held]
+        opt.step([mine[i] for i in subset])
+        ref.step([theirs[i] for i in subset])
+        for i, arr, before in zip(subset, held, held_bytes):
+            assert arr.tobytes() == before  # rebound, never written in place
+            assert mine[i].data is not arr and mine[i].data.dtype == np.float32
+        for p, q in zip(mine, theirs):
+            assert p.data.tobytes() == q.data.tobytes()
+            if id(q) in ref.state:
+                slot = opt._slots[id(p)]
+                m, v, t = ref.state[id(q)]
+                assert slot.t == t
+                assert slot.m.tobytes() == m.tobytes()
+                assert slot.v.tobytes() == v.tobytes()
 
 
 def _train_once(seed):

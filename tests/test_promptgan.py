@@ -204,8 +204,10 @@ def test_step_input_validation(gan, rng):
 
 def test_only_differentiated_passes_record_tape_nodes(gan, rng, monkeypatch):
     # the D step's generator pass is forward-only: every node a step
-    # records belongs to a graph that a backward then reads
-    graphs, read = [], []
+    # records belongs to a graph that a backward then reads. The G step
+    # holds D fixed: its backward computes no gradient for D's weights
+    # (nor for constants wrapping them), and D keeps the D step's values
+    graphs, read, d_grads = [], [], []
 
     class Recorded(nc.Graph):
         __slots__ = ()
@@ -218,15 +220,31 @@ def test_only_differentiated_passes_record_tape_nodes(gan, rng, monkeypatch):
 
     def read_backward(g, loss):
         read.append(g)
+        d_ids = {id(t) for t in gan.d_params()} | {id(t.data) for t in gan.d_params()}
+        for node in g.nodes:
+            def vjp(gout, inner=node.vjp, parents=node.parents, which=len(read)):
+                grads = inner(gout)
+                d_grads.extend(which for p, gp in zip(parents, grads) if gp is not None
+                               and (id(p) in d_ids or id(p.data) in d_ids))
+                return grads
+            node.vjp = vjp
         backward(g, loss)
 
     monkeypatch.setattr(nc, "Graph", Recorded)
     monkeypatch.setattr(nc, "backward", read_backward)
+    opt_d, after_d_step = nc.AdamW(lr=1e-3), []
+
+    def d_step(params, step=opt_d.step):
+        step(params)
+        after_d_step.append(param_bytes(gan.d_params()))
+
+    opt_d.step = d_step
     rc, re, fe = _step_inputs(rng, gan)
-    pg.gan_train_step(gan, rc, re, fe, rng, nc.AdamW(lr=1e-3),
-                      nc.AdamW(lr=1e-3))
+    pg.gan_train_step(gan, rc, re, fe, rng, nc.AdamW(lr=1e-3), opt_d)
     assert len(read) == 2
     assert [g for g in graphs if len(g)] == read
+    assert 1 in d_grads and 2 not in d_grads  # the D step's, never the G step's
+    assert after_d_step == [param_bytes(gan.d_params())]
 
 
 def test_adversarial_gradients_match_fd():
