@@ -16,7 +16,6 @@ comes from --out, else $FDSPG_OUT, else the config's out_dir.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
 import os
@@ -253,6 +252,8 @@ def cmd_sweep(args) -> int:
             for payload in payloads:
                 flush_rows(_sweep_value(payload))
         else:
+            import concurrent.futures  # only parallel sweeps need a pool
+
             # flush in submission order, not completion order, so the
             # file bytes never depend on scheduling
             with concurrent.futures.ProcessPoolExecutor(

@@ -23,7 +23,6 @@ import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 MANIFEST_VERSION = 1
@@ -123,7 +122,10 @@ class DomainDataset:
         n = self.features.shape[0]
         if self.domain_ids.shape != (n,) or self.class_ids.shape != (n,):
             raise ValueError("ids must align with features")
-        present = set(np.unique(self.domain_ids).tolist())
+        # distinct ids from a sort: np.unique would load numpy.ma, which
+        # no run otherwise needs
+        ids = np.sort(self.domain_ids)
+        present = set(ids[:1].tolist()) | set(ids[1:][ids[1:] != ids[:-1]].tolist())
         if not present <= {d for d, _ in self.domains}:
             raise ValueError("sample domain_id out of range")
         for d, dname in self.domains:
@@ -291,6 +293,8 @@ def _read_manifest(root: Path) -> dict:
         manifest = json.loads(mpath.read_text())
     except json.JSONDecodeError as e:
         raise DatasetSchemaError(f"{mpath}: not valid JSON: {e}") from e
+    import jsonschema  # only a saved manifest needs it; ~5 MB with its deps
+
     try:
         jsonschema.validate(manifest, MANIFEST_SCHEMA)
     except jsonschema.ValidationError as e:

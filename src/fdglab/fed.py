@@ -5,10 +5,14 @@ domain's data is held in full by two clients). Both training stages run
 the same round loop (FederatedTrainer._rounds): every client trains
 locally for a span set by the round's index (_ClientState._span_steps)
 and uploads its holder's parameters as a ParamMessage, and the
-server averages entry-wise and writes the result back into its own and
-every client's holder. A holder is the object whose named() gives a
-stage's parameters: the DspParams prompt contexts in stage 1, the
-GanParams generator and discriminator in stage 2. Prompt-context
+server averages entry-wise and binds the result in its own and every
+client's holder. A holder is the object whose named() gives a stage's
+parameters: the DspParams prompt contexts in stage 1, the GanParams
+generator and discriminator in stage 2. Distributed parameters are
+immutable: each aggregated array is frozen once, and the server and
+every client holder bind that same read-only array. The optimizer
+rebinds a tensor's data to a fresh array and never writes it in place,
+so sharing is safe. Prompt-context
 entries are smoothed with an exponential moving average over the
 previously distributed values while generator/discriminator entries
 pass through as the plain average; routing is instrumented so tests can
@@ -368,18 +372,27 @@ def new_gan(cfg: ExperimentConfig, prompt: DspParams) -> GanParams:
 
 def apply_named(named: dict[str, nc.Tensor],
                 arrays: dict[str, np.ndarray]) -> None:
-    """Overwrite parameters from aggregation output or a checkpoint.
+    """Bind parameters from aggregation output or a checkpoint.
 
     named maps names to a holder's tensors (``named()`` of DspParams or
     GanParams); names the holder lacks are ignored, so a client only
     picks up its own domains.
+
+    Distributed parameters are immutable arrays that all holders share:
+    a read-only float32 array is bound as it is, and any other array is
+    copied to float32 once and the copy frozen. The optimizer rebinds
+    ``tensor.data`` and never writes it, so no holder can change what
+    another holder sees.
     """
     for name, tensor in named.items():
         if name in arrays:
-            new = np.asarray(arrays[name], dtype=np.float32)
+            new = arrays[name]
+            if new.flags.writeable or new.dtype != np.float32:
+                new = np.array(new, dtype=np.float32)
+                new.setflags(write=False)
             if new.shape != tensor.data.shape:
                 raise ValueError(f"{name}: shape {new.shape} != {tensor.data.shape}")
-            tensor.data = new.copy()
+            tensor.data = new
 
 
 class _ClientState:
@@ -538,8 +551,9 @@ class FederatedTrainer:
     def _rounds(self, stage: int, span, holder, server, on_round) -> None:
         """The federated round, n_rounds times: every client runs
         span(client, round index within the stage) and uploads
-        holder(client)'s parameters; the server averages, blends and
-        writes the result into server and every client's holder."""
+        holder(client)'s parameters; the server averages, blends,
+        freezes the result and binds it in server and every client's
+        holder."""
         for rnd in range(n_rounds(self.cfg)):
             msgs, losses = [], {}
             for client in self.clients:
@@ -556,6 +570,8 @@ class FederatedTrainer:
                         f"client {client.id} failed in round "
                         f"{self.agg_events}: {exc}") from exc
             dist = momentum_aggregate(fedavg(msgs), self.history)
+            for arr in dist.values():
+                arr.setflags(write=False)  # bound, not copied, by every holder
             self.log.append({
                 "stage": stage, "round": self.agg_events,
                 "client_losses": {str(c): l for c, l in sorted(losses.items())},
@@ -598,8 +614,10 @@ class FederatedTrainer:
                 if h is not None]
 
     def server_entries(self) -> dict[str, np.ndarray]:
-        """Current server state as checkpoint-ready named arrays."""
-        return {n: t.data.copy() for h in self._server_holders()
+        """Current server state as checkpoint-ready named arrays: the
+        arrays the server binds, not copies, read-only once a round or a
+        checkpoint has set them."""
+        return {n: t.data for h in self._server_holders()
                 for n, t in h.named().items()}
 
     def apply_checkpoint(self, entries: dict[str, np.ndarray]) -> None:

@@ -24,20 +24,67 @@ def run(*argv):
     return cli.main(list(argv))
 
 
-def test_module_entry_runs_without_warnings(tmp_path):
-    # an eager import of cli from the package made `-m fdglab.cli` warn,
-    # and without __main__.py `-m fdglab` did not run at all
+def src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [
         str(Path(__file__).resolve().parents[1] / "src"),
         env.get("PYTHONPATH")]))
+    return env
+
+
+def test_module_entry_runs_without_warnings(tmp_path):
+    # an eager import of cli from the package made `-m fdglab.cli` warn,
+    # and without __main__.py `-m fdglab` did not run at all
     for module in ("fdglab", "fdglab.cli"):
         proc = subprocess.run(
             [sys.executable, "-W", "error::RuntimeWarning", "-m", module,
-             "--help"], cwd=tmp_path, env=env, capture_output=True,
+             "--help"], cwd=tmp_path, env=src_env(), capture_output=True,
             text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert "usage: fdglab" in proc.stdout
+
+
+FOOTPRINT_SCRIPT = """
+import json, sys
+from pathlib import Path
+
+from fdglab import cli, datagen as dg
+
+out, tiny = Path(sys.argv[1]), sys.argv[2:]
+assert cli.main(["train", *tiny, "--out", str(out), "--holdout", "0"]) == 0
+final = next((out / "train").iterdir()) / "final.msg"
+assert cli.main(["eval", *tiny, "--checkpoint", str(final),
+                 "--holdout", "0", "--out", str(out)]) == 0
+lazy = ("jsonschema", "numpy.ma", "concurrent.futures")
+loaded = [m for m in lazy if m in sys.modules]
+assert not loaded, f"train and eval loaded {loaded}"
+
+root = dg.save_dataset(dg.gen_dataset(3, 3, 4, 16), out / "ds")
+assert "jsonschema" not in sys.modules
+dg.load_dataset(root)
+assert "jsonschema" in sys.modules
+manifest = json.loads((root / "manifest.json").read_text())
+manifest["feature_dim"] = 0
+(root / "manifest.json").write_text(json.dumps(manifest))
+try:
+    dg.load_dataset(root)
+except dg.DatasetSchemaError as exc:
+    assert "minimum of 1" in str(exc), exc
+else:
+    raise AssertionError("a feature_dim of 0 passed the manifest schema")
+"""
+
+
+def test_runs_load_only_the_modules_they_use(tmp_path):
+    # a train and an eval --checkpoint validate no saved manifest, start no
+    # process pool and call no np.unique, so neither may pay for jsonschema,
+    # concurrent.futures or numpy.ma; a saved manifest is still validated
+    proc = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT_SCRIPT, str(tmp_path), *TINY],
+        cwd=tmp_path, env=src_env(), capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 # ---------------------------------------------------------------------------

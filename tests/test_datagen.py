@@ -203,6 +203,19 @@ def test_listed_domain_without_samples_rejected(tmp_path, ds):
         dg.load_dataset(root)
 
 
+@pytest.mark.parametrize("stray", [-1, 1, 9])
+def test_sample_domain_not_listed_rejected(ds, stray):
+    # domain 1 is dropped from the list while its samples stay, relabelled
+    # to an id below, between or above the listed ones (0, 2, 3)
+    domains = [(d, name) for d, name in ds.domains if d != 1]
+    ids = np.where(ds.domain_ids == 1, stray, ds.domain_ids)
+    with pytest.raises(ValueError, match="sample domain_id out of range"):
+        dg.DomainDataset(
+            name=ds.name, feature_dim=ds.feature_dim, domains=domains,
+            classes=ds.classes, features=ds.features, domain_ids=ids,
+            class_ids=ds.class_ids)
+
+
 def test_label_count_mismatch_rejected(tmp_path, ds):
     root = dg.save_dataset(ds, tmp_path / "ds")
     side = root / "domain_0.f32.labels"

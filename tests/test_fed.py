@@ -527,6 +527,66 @@ def test_trainer_checkpoint_restore(tmp_path, mode):
             assert new.prompt.named()[name].data.tobytes() == t.data.tobytes()
 
 
+def assert_read_only(arr):
+    with pytest.raises(ValueError, match="read-only"):
+        arr[...] = 0
+
+
+def test_distributed_parameters_are_one_shared_read_only_array(tmp_path):
+    # each aggregated array is frozen once and bound, not copied, by the
+    # server and every client; the optimizer rebinds, so nothing writes it
+    cfg = small_cfg()
+    tr = fed.FederatedTrainer(cfg, small_ds(cfg), target_domain=2)
+    tr.run_all()
+    for server, holders in ((tr.server_prompt, [c.prompt for c in tr.clients]),
+                            (tr.server_gan, [c.gan for c in tr.clients])):
+        shared = server.named()
+        for holder in holders:
+            for name, t in holder.named().items():
+                assert t.data is shared[name].data, name
+        for t in shared.values():
+            assert t.data.dtype == np.float32
+            assert_read_only(t.data)
+    entries = tr.server_entries()
+    for arr in entries.values():
+        assert_read_only(arr)
+    blob = fed.serialize_message(
+        fed.ParamMessage(fed.SERVER_SENDER, 0, entries))
+    # recorded before distributed parameters were shared: bytes unchanged
+    assert hashlib.blake2b(blob, digest_size=16).hexdigest() == \
+        "fbfa1189f3d150319dc4d4270e7b7d5b"
+
+    path = fed.save_message(fed.ParamMessage(
+        fed.SERVER_SENDER, tr.agg_events, entries), tmp_path / "final.fdsp")
+    fresh = fed.FederatedTrainer(cfg, small_ds(cfg), target_domain=2)
+    fresh.apply_checkpoint(fed.load_message(path).entries)
+    restored = fresh.server_entries()
+    for client in fresh.clients:
+        for name, t in client.prompt.named().items():
+            assert t.data is restored[name], name
+    for name, arr in restored.items():
+        assert arr.tobytes() == entries[name].tobytes()
+        assert_read_only(arr)
+
+
+def test_apply_named_copies_only_writable_or_other_dtype():
+    gan = GanParams(n_rows=4, d_tok=8, d=8, z_dim=4, h=16, seed=0)
+    frozen = np.ones_like(gan.named()["G/l0.w"].data)
+    frozen.setflags(write=False)
+    writable = np.ones_like(gan.named()["G/l0.b"].data)
+    wide = np.ones(gan.named()["D/l0.w"].data.shape, dtype=np.float64)
+    fed.apply_named(gan.named(),
+                    {"G/l0.w": frozen, "G/l0.b": writable, "D/l0.w": wide})
+    named = gan.named()
+    assert named["G/l0.w"].data is frozen
+    for name, given in (("G/l0.b", writable), ("D/l0.w", wide)):
+        got = named[name].data
+        assert got is not given and got.dtype == np.float32
+        assert (got == 1).all()
+        assert_read_only(got)
+    assert writable.flags.writeable  # the caller's array is left as it was
+
+
 def test_trainer_target_domain_validation():
     cfg = small_cfg()
     ds = small_ds(cfg)
