@@ -122,10 +122,8 @@ class DomainDataset:
         n = self.features.shape[0]
         if self.domain_ids.shape != (n,) or self.class_ids.shape != (n,):
             raise ValueError("ids must align with features")
-        # distinct ids from a sort: np.unique would load numpy.ma, which
-        # no run otherwise needs
-        ids = np.sort(self.domain_ids)
-        present = set(ids[:1].tolist()) | set(ids[1:][ids[1:] != ids[:-1]].tolist())
+        # not np.unique: it loads numpy.ma, which no run otherwise needs
+        present = set(self.domain_ids.tolist())
         if not present <= {d for d, _ in self.domains}:
             raise ValueError("sample domain_id out of range")
         for d, dname in self.domains:

@@ -379,19 +379,18 @@ def apply_named(named: dict[str, nc.Tensor],
     picks up its own domains.
 
     Distributed parameters are immutable arrays that all holders share:
-    a read-only float32 array is bound as it is, and any other array is
-    copied to float32 once and the copy frozen. The optimizer rebinds
+    a contiguous float32 array is frozen and bound as it is (any other
+    array is converted first), so every holder given the same arrays
+    binds the same read-only objects. The optimizer rebinds
     ``tensor.data`` and never writes it, so no holder can change what
     another holder sees.
     """
     for name, tensor in named.items():
         if name in arrays:
-            new = arrays[name]
-            if new.flags.writeable or new.dtype != np.float32:
-                new = np.array(new, dtype=np.float32)
-                new.setflags(write=False)
+            new = np.ascontiguousarray(arrays[name], dtype=np.float32)
             if new.shape != tensor.data.shape:
                 raise ValueError(f"{name}: shape {new.shape} != {tensor.data.shape}")
+            new.setflags(write=False)
             tensor.data = new
 
 
@@ -551,9 +550,9 @@ class FederatedTrainer:
     def _rounds(self, stage: int, span, holder, server, on_round) -> None:
         """The federated round, n_rounds times: every client runs
         span(client, round index within the stage) and uploads
-        holder(client)'s parameters; the server averages, blends,
-        freezes the result and binds it in server and every client's
-        holder."""
+        holder(client)'s parameters; the server averages and blends, and
+        server and every client's holder bind the result, frozen by the
+        first of them (apply_named)."""
         for rnd in range(n_rounds(self.cfg)):
             msgs, losses = [], {}
             for client in self.clients:
@@ -570,8 +569,6 @@ class FederatedTrainer:
                         f"client {client.id} failed in round "
                         f"{self.agg_events}: {exc}") from exc
             dist = momentum_aggregate(fedavg(msgs), self.history)
-            for arr in dist.values():
-                arr.setflags(write=False)  # bound, not copied, by every holder
             self.log.append({
                 "stage": stage, "round": self.agg_events,
                 "client_losses": {str(c): l for c, l in sorted(losses.items())},
