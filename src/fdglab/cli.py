@@ -92,11 +92,16 @@ def resolve_out(args, cfg: cf.ExperimentConfig) -> Path:
     return Path(cfg.out_dir)
 
 
-def _claim_dir(path: Path, force: bool) -> Path:
-    """Create a fresh run directory, refusing to clobber without --force."""
+def _claim_dir(path: Path, force: bool, marker: str | None = None) -> Path:
+    """Create a fresh run directory, refusing to clobber without --force.
+    With a ``marker`` file name, --force replaces only a directory that
+    holds that file; any other non-empty directory is refused."""
     if path.exists() and any(path.iterdir()):
         if not force:
             raise CliError(f"{path} already exists; pass --force to replace it")
+        if marker and not (path / marker).is_file():
+            raise CliError(f"{path} is not empty and holds no {marker}; "
+                           f"refusing to replace it")
         shutil.rmtree(path)
     path.mkdir(parents=True, exist_ok=True)
     return path
@@ -120,7 +125,7 @@ def cmd_gen_data(args) -> int:
     out = resolve_out(args, cfg) / "datasets" / f"{ds.name}-seed{cfg.seed_data}"
     if args.dest:
         out = Path(args.dest)
-    _claim_dir(out, args.force)
+    _claim_dir(out, args.force, marker="manifest.json")
     dg.save_dataset(ds, out)
     print(f"wrote {ds.n_samples} samples ({cfg.n_domains} domains x "
           f"{cfg.classes} classes x {cfg.shots} shots) to {out}")

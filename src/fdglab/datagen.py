@@ -330,6 +330,12 @@ def load_dataset(path) -> DomainDataset:
         if not name or name in classes[:i]:
             raise DatasetFormatError(
                 f"class {i}: {'repeated' if name else 'empty'} name {name!r}")
+    for entry in manifest["domains"]:  # no blob may lie outside root
+        if entry["blob"] in ("", "..") or \
+                Path(entry["blob"]).name != entry["blob"]:
+            raise DatasetFormatError(
+                f"domain {entry['id']}: blob {entry['blob']!r} is not a "
+                "bare file name")
 
     feats, doms, labs = [], [], []
     domains = []

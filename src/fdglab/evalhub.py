@@ -1,12 +1,12 @@
-"""Generator-driven inference, metrics, and the evaluation protocols.
+"""Inference from a generator or a fixed block, metrics, and the protocols.
 
-A target image is classified by conditioning the trained generator on
-its embedding: each z draw gives a block of context rows, each prompt
-[block; cls] is mean-pooled and text-encoded and scored against the
-image embedding by inner product over temperature (identical to cosine
-because both sides are unit-norm), and the logits are averaged over the
-blocks. The wgm variant skips the generator: its one block, the tuned
-[v; mean of the per-domain rows], is encoded once.
+A model scores with a trained generator and the z draws every image
+shares, or with one fixed block. Each z draw, conditioned on the image's
+embedding, gives a block of context rows; each prompt [block; cls] is
+mean-pooled and text-encoded and scored against the image embedding by
+inner product over temperature (identical to cosine because both sides
+are unit-norm), and the logits are averaged over the blocks. A fixed
+block, such as wgm's tuned [v; mean of the per-domain rows], is encoded once.
 
 Images are scored in chunks of SCORE_CHUNK: one forward-only generator
 pass, which records no tape, and one encoder call per chunk. Every
@@ -171,60 +171,62 @@ def write_report_json(reports, path) -> Path:
 
 @dataclass
 class InferenceModel:
-    """Everything evaluation needs, frozen after training."""
+    """What scoring reads, frozen after training: the encoders, the token
+    table, the class names, tau, and one source of context blocks, either
+    a generator with its (M, z_dim) z draws or one (n_rows, d_tok) block."""
 
     enc: FrozenEncoders
     table: TokenTable
     classes: list[str]
     tau: float
-    mode: str
     gan: GanParams | None = None
-    prompt: DspParams | None = None
-    z_policy: str = "mean-of-samples"
-    z_samples: int = 8
-    z_seed: int = 0
+    zs: np.ndarray | None = None
+    block: np.ndarray | None = None
 
     def __post_init__(self):
         if self.tau <= 0:
             raise ValueError("tau must be positive")
         if len(self.classes) < 2:
             raise ValueError("need at least two classes")
+        if (self.gan is None) != (self.zs is None) or \
+                (self.gan is None) == (self.block is None):
+            raise ValueError("score with a generator and its z draws, or "
+                             "with one fixed block; not both, not neither")
         # materializes the class rows, so the table digest is stable under use
         self._class_rows = np.concatenate(
             [self.table.row(n) for n in self.classes]).astype(np.float64)
-        # Every image shares the same seeded z draws, which keeps
-        # prediction a pure function of its inputs and makes per-image
-        # evaluation order irrelevant.
-        if self.mode == "wgm":
-            self._wgm_embs = self._class_embeddings(
-                wgm_context_rows(self.prompt)[None])
-        elif self.gan is not None:
-            self._zs = _draw_z(self.z_policy, self.z_samples, self.gan.z_dim,
-                               self.z_seed)
+        if self.block is not None:
+            self._block_embs = self._class_embeddings(self.block[None])
 
     @classmethod
     def from_trainer(cls, trainer: FederatedTrainer,
                      classes=None) -> "InferenceModel":
+        """The only reader of the run's prompt mode and z settings. Every
+        image shares one seeded set of z draws, so order is irrelevant."""
         cfg = trainer.cfg
-        return cls(enc=trainer.enc, table=trainer.table,
-                   classes=list(classes if classes is not None
-                                else trainer.classes),
-                   tau=cfg.tau, mode=cfg.prompt_mode, gan=trainer.server_gan,
-                   prompt=trainer.server_prompt, z_policy=cfg.z_policy,
-                   z_samples=cfg.z_samples, z_seed=cfg.seed_noise)
+        parts = dict(enc=trainer.enc, table=trainer.table, tau=cfg.tau,
+                     classes=list(classes if classes is not None
+                                  else trainer.classes))
+        if cfg.prompt_mode == "wgm":
+            return cls(**parts, block=wgm_context_rows(trainer.server_prompt))
+        gan = trainer.server_gan
+        if gan is None:
+            raise ValueError("no trained generator; run stage 2 or use wgm")
+        return cls(**parts, gan=gan, zs=_draw_z(cfg.z_policy, cfg.z_samples,
+                                                gan.z_dim, cfg.seed_noise))
 
     def state_digest(self) -> str:
+        """Digest of exactly what scoring reads."""
         h = hashlib.blake2b(digest_size=16)
         h.update(self.enc.checksum().encode())
         h.update(self.table.checksum().encode())
-        if self.prompt is not None:
-            for name, t in self.prompt.named().items():
-                h.update(name.encode())
-                h.update(t.data.tobytes())
-        if self.gan is not None:
+        if self.block is None:
             for name, t in self.gan.named().items():
                 h.update(name.encode())
                 h.update(t.data.tobytes())
+            h.update(self.zs.tobytes())
+        else:
+            h.update(self.block.tobytes())
         return h.hexdigest()
 
     def _class_embeddings(self, contexts: np.ndarray) -> np.ndarray:
@@ -242,15 +244,8 @@ class InferenceModel:
         averaged over its context blocks. Each row equals scoring its
         image alone, bit for bit."""
         b, k = image_embs.shape[0], len(self.classes)
-        if self.mode == "wgm":
-            embs = np.broadcast_to(self._wgm_embs,
-                                   (b, *self._wgm_embs.shape))
-        else:
-            gan = self.gan
-            if gan is None:
-                raise ValueError(
-                    "no trained generator; run stage 2 or use wgm")
-            zs = self._zs
+        if self.block is None:
+            gan, zs = self.gan, self.zs
             m = zs.shape[0]
             # (B, M, .) blocks: each image's M-row product runs alone
             contexts = generator_forward(
@@ -261,6 +256,9 @@ class InferenceModel:
             embs = self._class_embeddings(
                 contexts.reshape(b * m, gan.n_rows, gan.d_tok)).reshape(
                 b, m * k, -1)
+        else:
+            embs = np.broadcast_to(self._block_embs,
+                                   (b, *self._block_embs.shape))
         # a stack of 1 x d by d x 1 products, each rounding like a lone
         # w @ x.T; one (M*K, d) @ (d, 1) product rounds differently
         logits = np.matmul(embs[:, :, None, :],

@@ -633,7 +633,7 @@ class FederatedTrainer:
                 "checkpoint does not match the model: missing "
                 f"{sorted(want - set(entries))}, unexpected "
                 f"{sorted(set(entries) - want)}; was it trained with "
-                "another --holdout?")
+                "another --holdout or --prompt-mode?")
         for h in self._server_holders():
             apply_named(h.named(), entries)
         for client in self.clients:

@@ -155,6 +155,22 @@ def test_gen_data_writes_and_guards(tmp_path, capsys):
     assert run("gen-data", *TINY, "--out", out, "--force") == 0
 
 
+def test_gen_data_force_replaces_only_a_dataset(tmp_path, capsys):
+    dest = tmp_path / "dest"
+    (dest / "sub").mkdir(parents=True)
+    (dest / "notes.txt").write_text("keep")
+    (dest / "sub" / "data.bin").write_bytes(b"keep")
+    assert run("gen-data", *TINY, "--dest", str(dest), "--force") == 1
+    err = capsys.readouterr().err
+    assert str(dest) in err and "manifest.json" in err
+    assert sorted(p.name for p in dest.rglob("*")) == [
+        "data.bin", "notes.txt", "sub"]
+    # a dataset directory is still replaced
+    assert run("gen-data", *TINY, "--dest", str(tmp_path / "ds")) == 0
+    assert run("gen-data", *TINY, "--dest", str(tmp_path / "ds"),
+               "--force") == 0
+
+
 def test_gen_data_reruns_byte_identical(tmp_path):
     assert run("gen-data", *TINY, "--dest", str(tmp_path / "a")) == 0
     assert run("gen-data", *TINY, "--dest", str(tmp_path / "b")) == 0
@@ -308,6 +324,35 @@ def test_eval_checkpoint_refuses_other_holdout(tmp_path, capsys):
     assert "unexpected ['u/1']" in err
     assert run("eval", *TINY, "--prompt-mode", "wgm", "--checkpoint", final,
                "--holdout", "2", "--out", out) == 0
+
+
+def test_eval_checkpoint_refuses_other_prompt_mode(tmp_path, capsys):
+    out = str(tmp_path)
+    assert run("train", *TINY, "--out", out, "--holdout", "0") == 0
+    final = str(next((tmp_path / "train").iterdir()) / "final.msg")
+    capsys.readouterr()
+    assert run("eval", *TINY, "--prompt-mode", "hdp", "--checkpoint", final,
+               "--holdout", "0", "--out", out) == 1
+    err = capsys.readouterr().err
+    assert "unexpected ['u/1', 'u/2', 'v']" in err
+    assert "--holdout" in err and "--prompt-mode" in err
+
+
+def test_eval_wgm_scores_generator_checkpoint_like_its_own(tmp_path):
+    # wgm's stage 1 is dsp's, bit for bit, so scoring dsp's checkpoint
+    # without its generator gives the wgm checkpoint's report, byte for byte
+    reports = []
+    for mode in ("dsp", "wgm"):
+        out = tmp_path / mode
+        assert run("train", *TINY, "--prompt-mode", mode, "--holdout", "0",
+                   "--out", str(out)) == 0
+        final = next((out / "train").iterdir()) / "final.msg"
+        assert run("eval", *TINY, "--prompt-mode", "wgm", "--checkpoint",
+                   str(final), "--holdout", "0", "--out", str(out)) == 0
+        run_dir = next((out / "eval").iterdir())
+        reports.append([(run_dir / name).read_bytes()
+                        for name in ("report.json", "report.csv")])
+    assert reports[0] == reports[1]
 
 
 # ---------------------------------------------------------------------------

@@ -260,3 +260,25 @@ def test_bad_class_names_rejected(tmp_path, ds, name, match):
     (root / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(dg.DatasetFormatError, match=match):
         dg.load_dataset(root)
+
+
+@pytest.mark.parametrize("outside", ["absolute", "parent"])
+def test_blob_outside_dataset_rejected(tmp_path, ds, monkeypatch, outside):
+    # a manifest naming another directory's blob, with that blob's own
+    # checksums, is refused before any blob is read
+    root = dg.save_dataset(ds, tmp_path / "ds")
+    other = dg.save_dataset(ds, tmp_path / "other")
+    manifest = json.loads((root / "manifest.json").read_text())
+    entry = manifest["domains"][0]
+    name = (str(other / entry["blob"]) if outside == "absolute"
+            else f"../other/{entry['blob']}")
+    for suffix in ("", ".labels"):
+        manifest["checksums"][name + suffix] = \
+            manifest["checksums"][entry["blob"] + suffix]
+    entry["blob"] = name
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    reads = []
+    monkeypatch.setattr(dg, "_checked_read", lambda *a: reads.append(a))
+    with pytest.raises(dg.DatasetFormatError, match="not a bare file name"):
+        dg.load_dataset(root)
+    assert reads == []

@@ -8,7 +8,7 @@ import pytest
 from fdglab import numcore as nc
 from fdglab import dsp
 from fdglab.encoder import FrozenEncoders, TokenTable, class_token, encode_text
-from fdglab.evalhub import InferenceModel
+from fdglab.evalhub import InferenceModel, wgm_context_rows
 from fdcheck import check_case, stage1_cases
 
 
@@ -89,7 +89,7 @@ def test_classify_contracts(setup):
 
     def probs(names, emb, tau=0.05):
         model = InferenceModel(enc=enc, table=table, classes=names, tau=tau,
-                               mode="wgm", prompt=p)
+                               block=wgm_context_rows(p))
         return model.predict_from_emb(emb.reshape(1, -1))
 
     out = probs(classes, embs[0])

@@ -60,9 +60,14 @@ def test_macro_f1_perfect_and_errors():
 # ---------------------------------------------------------------------------
 # inference path: InferenceModel built directly
 
-def make_model(enc, table, classes, mode="dsp", tau=0.05, **kwargs):
+def make_model(enc, table, classes, tau=0.05, gan=None,
+               z_policy="mean-of-samples", z_samples=8, z_seed=0, **kwargs):
+    """A model that scores with ``gan`` and its z draws, or with the
+    ``block=`` keyword."""
+    zs = None if gan is None else ev._draw_z(z_policy, z_samples, gan.z_dim,
+                                             z_seed)
     return ev.InferenceModel(enc=enc, table=table, classes=list(classes),
-                             tau=tau, mode=mode, **kwargs)
+                             tau=tau, gan=gan, zs=zs, **kwargs)
 
 
 def predict(model, x_features):
@@ -71,11 +76,16 @@ def predict(model, x_features):
 
 
 def test_predict_requires_generator_and_sane_args():
+    # a model scores with a generator and its z draws, or with one block
     enc, table, prompt = tiny_parts()
-    x = np.ones(16, np.float32)
-    with pytest.raises(ValueError, match="generator"):
-        predict(make_model(enc, table, ["a", "b"]), x)
     gan = GanParams(n_rows=4, d_tok=8, d=8, z_dim=4, h=8, seed=0)
+    zs = ev._draw_z("mean-of-samples", 2, gan.z_dim, 0)
+    block = ev.wgm_context_rows(prompt)
+    for sources in ({}, dict(gan=gan, zs=zs, block=block), dict(gan=gan),
+                    dict(zs=zs, block=block)):
+        with pytest.raises(ValueError, match="not both, not neither"):
+            ev.InferenceModel(enc=enc, table=table, classes=["a", "b"],
+                              tau=0.05, **sources)
     with pytest.raises(ValueError, match="tau"):
         make_model(enc, table, ["a", "b"], gan=gan, tau=0.0)
     with pytest.raises(ValueError, match="two classes"):
@@ -96,7 +106,7 @@ def test_constant_generator_matches_wgm():
     classes = ["ant", "bee", "cat"]
     generative = make_model(enc, table, classes, gan=gan,
                             z_policy="fixed-zero")
-    wgm = make_model(enc, table, classes, mode="wgm", prompt=prompt)
+    wgm = make_model(enc, table, classes, block=rows)
     for _ in range(5):
         x = rng.normal(0, 3, 16).astype(np.float32)
         a = predict(generative, x)
@@ -112,8 +122,12 @@ def test_scoring_matches_per_prompt_path(mode):
     enc, table, prompt = tiny_parts()
     classes = ["ant", "bee", "cat"]
     gan = GanParams(n_rows=4, d_tok=8, d=8, z_dim=4, h=8, seed=0)
-    model = make_model(enc, table, classes, mode=mode, gan=gan,
-                       prompt=prompt, z_samples=3, z_seed=5)
+    if mode == "wgm":
+        model = make_model(enc, table, classes,
+                           block=ev.wgm_context_rows(prompt))
+    else:
+        model = make_model(enc, table, classes, gan=gan, z_samples=3,
+                           z_seed=5)
     tokens = [class_token(table, n) for n in classes]
     rng = np.random.default_rng(7)
     for _ in range(4):
@@ -121,9 +135,8 @@ def test_scoring_matches_per_prompt_path(mode):
         if mode == "wgm":
             contexts = ev.wgm_context_rows(prompt)[None]
         else:
-            zs = ev._draw_z(model.z_policy, 3, 4, 5)
             contexts = generator_rows(
-                nc.Graph(), gan, nc.Tensor(zs),
+                nc.Graph(), gan, nc.Tensor(model.zs),
                 nc.Tensor(np.repeat(emb, 3, axis=0))).data.reshape(3, 4, 8)
         ref = np.concatenate([
             prompt_embeddings(nc.Graph(), enc, [nc.Tensor(c)], tokens).data
@@ -143,8 +156,8 @@ def test_wgm_encodes_class_prompts_once(monkeypatch):
 
     monkeypatch.setattr(ev, "encode_text", counted)
     enc, table, prompt = tiny_parts()
-    model = make_model(enc, table, ["ant", "bee", "cat"], mode="wgm",
-                       prompt=prompt)
+    model = make_model(enc, table, ["ant", "bee", "cat"],
+                       block=ev.wgm_context_rows(prompt))
     rng = np.random.default_rng(3)
     for _ in range(5):
         predict(model, rng.normal(0, 1, 16))
@@ -215,9 +228,10 @@ def test_chunked_scoring_equals_per_image(trained, monkeypatch, mode,
     # every image of the dataset, so the last chunk is ragged; scoring one
     # image alone is pinned to the taped per-prompt path above
     trainer, embs = trained[mode]
-    model = dataclasses.replace(ev.InferenceModel.from_trainer(trainer),
-                                z_policy=z_policy, z_samples=z_samples,
-                                z_seed=4)
+    model = ev.InferenceModel.from_trainer(trainer)
+    if mode != "wgm":
+        model = dataclasses.replace(model, zs=ev._draw_z(
+            z_policy, z_samples, trainer.cfg.z_dim, 4))
     n = embs.shape[0]
     assert n % ev.SCORE_CHUNK != 0
     alone = np.concatenate([model.predict_from_emb(embs[i:i + 1])
@@ -282,8 +296,8 @@ def test_tau_rescales_but_argmax_invariant():
 
 def test_identical_class_tokens_give_uniform_probs():
     enc, table, prompt = tiny_parts()
-    model = make_model(enc, table, ["same", "same", "same"], mode="wgm",
-                       prompt=prompt)
+    model = make_model(enc, table, ["same", "same", "same"],
+                       block=ev.wgm_context_rows(prompt))
     p = predict(model, np.ones(16, np.float32))
     np.testing.assert_allclose(p, np.full((1, 3), 1 / 3), atol=1e-12)
 
@@ -299,8 +313,8 @@ def test_identical_class_tokens_tie_to_class_zero():
         classes=ds.classes, features=ds.features, domain_ids=ds.domain_ids,
         class_ids=np.zeros_like(ds.class_ids))
     enc, table, prompt = tiny_parts()
-    model = make_model(enc, table, ["same"] * cfg.classes, mode="wgm",
-                       prompt=prompt)
+    model = make_model(enc, table, ["same"] * cfg.classes,
+                       block=ev.wgm_context_rows(prompt))
     embs = encode_image(enc, ds.features[ds.domain_indices(0)])
     for i in range(embs.shape[0]):
         row = model.predict_from_emb(embs[i:i + 1])
@@ -426,13 +440,42 @@ def test_evaluate_flags_parameter_mutation():
     model = ev.InferenceModel.from_trainer(trainer)
     inner = model.predict_from_emb
 
+    w = model.gan.g_layers[0][0]
+
     def dirty(emb):
-        model.prompt.v.data = model.prompt.v.data + 1.0
+        w.data = w.data + 1.0
         return inner(emb)
 
     model.predict_from_emb = dirty
     with pytest.raises(RuntimeError, match="mutated"):
         ev.evaluate(model, ds, 0)
+
+
+@pytest.mark.parametrize("mode, source", [("dsp", "zs"), ("wgm", "block")])
+def test_evaluate_flags_source_mutation(trained, mode, source):
+    # the z draws and the fixed block are scored values, so the digest
+    # covers them as it covers the generator's weights
+    trainer, _ = trained[mode]
+    model = ev.InferenceModel.from_trainer(trainer)
+    inner = model.predict_from_emb
+
+    def dirty(emb):
+        getattr(model, source)[0] += 1.0
+        return inner(emb)
+
+    model.predict_from_emb = dirty
+    with pytest.raises(RuntimeError, match="mutated"):
+        ev.evaluate(model, trainer.ds, 0)
+
+
+def test_from_trainer_refuses_a_run_without_generator():
+    # stage 1 alone leaves no generator, and only wgm scores without one
+    cfg = small_cfg()
+    ds = ev.dataset_from_config(cfg)
+    trainer = fed.FederatedTrainer(cfg, ds, target_domain=0)
+    trainer.run_stage1()
+    with pytest.raises(ValueError, match="run stage 2 or use wgm"):
+        ev.InferenceModel.from_trainer(trainer)
 
 
 def test_evaluate_unknown_or_empty_domain():
